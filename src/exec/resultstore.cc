@@ -44,11 +44,10 @@ ResultStore::fnv1a(const std::string &text)
     return hash;
 }
 
-bool
-ResultStore::lookup(const std::string &key, Fields &out)
+std::unordered_map<std::uint64_t, ResultStore::Entry>::iterator
+ResultStore::findLocked(std::uint64_t hash, bool &absorbed)
 {
-    std::uint64_t hash = fnv1a(key);
-    std::lock_guard<std::mutex> lock(storeMutex);
+    absorbed = false;
     auto it = entries.find(hash);
     if (it == entries.end() && tier != nullptr && tier->maybeGrown()) {
         // Miss in the memory tier: absorb whatever other processes
@@ -57,9 +56,20 @@ ResultStore::lookup(const std::string &key, Fields &out)
             absorbLocked(k, std::move(f));
         });
         it = entries.find(hash);
-        if (it != entries.end() && it->second.key == key)
-            ++counters.sharedHits;
+        absorbed = it != entries.end();
     }
+    return it;
+}
+
+bool
+ResultStore::lookup(const std::string &key, Fields &out)
+{
+    std::uint64_t hash = fnv1a(key);
+    std::lock_guard<std::mutex> lock(storeMutex);
+    bool absorbed = false;
+    auto it = findLocked(hash, absorbed);
+    if (absorbed && it->second.key == key)
+        ++counters.sharedHits;
     if (it == entries.end()) {
         ++counters.misses;
         return false;
@@ -77,6 +87,16 @@ ResultStore::lookup(const std::string &key, Fields &out)
                     it->second.lruPosition);
     out = it->second.fields;
     return true;
+}
+
+bool
+ResultStore::contains(const std::string &key)
+{
+    std::uint64_t hash = fnv1a(key);
+    std::lock_guard<std::mutex> lock(storeMutex);
+    bool absorbed = false;
+    auto it = findLocked(hash, absorbed);
+    return it != entries.end() && it->second.key == key;
 }
 
 void

@@ -79,6 +79,15 @@ class ResultStore
      */
     bool lookup(const std::string &key, Fields &out);
 
+    /**
+     * True when lookup() of @p key would hit. Stats-neutral: no hit,
+     * miss or sharedHit is counted and the LRU order is untouched.
+     * Like lookup(), it absorbs entries other processes published to
+     * an attached shared tier before answering. Schedulers use it to
+     * decide whether work needs simulating.
+     */
+    bool contains(const std::string &key);
+
     /** Insert (or overwrite) a key, evicting LRU entries as needed. */
     void insert(const std::string &key, Fields fields);
 
@@ -149,6 +158,14 @@ class ResultStore
     };
 
     void insertLocked(const std::string &key, Fields fields);
+
+    /**
+     * Find the resident entry at @p hash, falling through to the
+     * shared tier on a memory miss; @p absorbed reports whether the
+     * entry arrived from the tier during this call.
+     */
+    std::unordered_map<std::uint64_t, Entry>::iterator
+    findLocked(std::uint64_t hash, bool &absorbed);
 
     /** Tier-absorb sink: insert without counting or journalling. */
     void absorbLocked(const std::string &key, Fields fields);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -198,6 +199,18 @@ TaskGraph::runSerial(CancellationToken token)
         }
     }
     rethrowFirstError();
+}
+
+void
+TaskGraph::runWithJobs(unsigned jobs, CancellationToken token)
+{
+    if (jobs <= 1) {
+        runSerial(std::move(token));
+        return;
+    }
+    ThreadPool pool(jobs);
+    pool.setCancellationToken(token);
+    run(pool, std::move(token));
 }
 
 bool

@@ -84,6 +84,13 @@ class TaskGraph
     /** Execute inline, honouring @p token (see file comment). */
     void runSerial(CancellationToken token);
 
+    /**
+     * Execute with @p jobs workers, honouring @p token: inline via
+     * runSerial() for jobs <= 1, otherwise on a fresh ThreadPool of
+     * that many threads with the token attached.
+     */
+    void runWithJobs(unsigned jobs, CancellationToken token);
+
     /** True when the node ran to completion without an exception. */
     bool succeeded(NodeId id) const;
 

@@ -16,7 +16,6 @@
 #include <mutex>
 
 #include "exec/taskgraph.hh"
-#include "exec/threadpool.hh"
 #include "hwsim/faults.hh"
 #include "mlstat/descriptive.hh"
 #include "mlstat/robust.hh"
@@ -778,36 +777,11 @@ CampaignEngine::runValidation(hwsim::CpuCluster cluster,
     // and run() rethrows deterministically on failure.
     exec::TaskGraph graph;
 
-    // Batched base runs: one node per distinct workload computes
-    // both 1.0 GHz base runs (hw shape + g5 twin) from a single
-    // batched execution; every hw/g5 node of that workload waits on
-    // it, so the lazy per-cache fills always find a warm slot. The
-    // caches install under once-flags, making the gating purely a
-    // scheduling optimisation — results are byte-identical with the
-    // flag off, on, or racing.
-    std::map<const workload::Workload *, exec::TaskGraph::NodeId>
-        batchNodes;
-    if (campaignConfig.batchedBaseRuns) {
-        for (std::size_t i = 0; i < count; ++i) {
-            const PointTask &task = tasks[i];
-            if (task.resumed != nullptr ||
-                batchNodes.count(task.work)) {
-                continue;
-            }
-            batchNodes[task.work] = graph.add(
-                "batch:" + task.work->name, [this, &task, cluster] {
-                    experimentRunner.prewarmBatchedBaseRuns(
-                        *task.work, cluster);
-                });
-        }
-    }
-    auto batchDeps =
-        [&](const PointTask &task) -> std::vector<exec::TaskGraph::NodeId> {
-        auto it = batchNodes.find(task.work);
-        if (it == batchNodes.end())
-            return {};
-        return {it->second};
-    };
+    // Base runs are nodes of their own, under the campaign's token
+    // (a base run belongs to no single attempt, so it has no attempt
+    // deadline); a point that would simulate waits on its workload's.
+    BaseRunNodes base(experimentRunner, graph, cluster,
+                      campaignConfig.cancel, Deadline(), "campaign");
 
     for (std::size_t i = 0; i < count; ++i) {
         const PointTask &task = tasks[i];
@@ -815,6 +789,10 @@ CampaignEngine::runValidation(hwsim::CpuCluster cluster,
         if (task.resumed != nullptr) {
             // Restored from the checkpoint: never re-measured; only
             // a converged point needs its g5 twin re-simulated.
+            std::vector<exec::TaskGraph::NodeId> deps;
+            if (task.resumed->converged())
+                deps = base.depsFor(BaseEngine::G5, *task.work,
+                                    task.freq);
             finalNode[i] = graph.add(
                 "resume:" + label,
                 [this, &task, &points, &records, cluster, i, count] {
@@ -854,7 +832,8 @@ CampaignEngine::runValidation(hwsim::CpuCluster cluster,
                     points[i] = std::move(point);
                     if (campaignConfig.pointSink)
                         campaignConfig.pointSink(points[i], i, count);
-                });
+                },
+                deps);
             continue;
         }
         exec::TaskGraph::NodeId hw_node = graph.add(
@@ -868,7 +847,7 @@ CampaignEngine::runValidation(hwsim::CpuCluster cluster,
                 measurePoint(*task.work, cluster, task.freq, point,
                              records[i], pointWarnings[i]);
             },
-            batchDeps(task));
+            base.depsFor(BaseEngine::Hw, *task.work, task.freq));
         exec::TaskGraph::NodeId g5_node = graph.add(
             "g5:" + label, [this, &task, &records, cluster, i] {
                 // Unconditional: a non-converged point's record is
@@ -878,7 +857,7 @@ CampaignEngine::runValidation(hwsim::CpuCluster cluster,
                 records[i].g5 = experimentRunner.runG5(
                     *task.work, cluster, task.freq);
             },
-            batchDeps(task));
+            base.depsFor(BaseEngine::G5, *task.work, task.freq));
         finalNode[i] = graph.add(
             "collate:" + label,
             [this, &points, &checkpoint, i, count] {
@@ -890,13 +869,7 @@ CampaignEngine::runValidation(hwsim::CpuCluster cluster,
     }
 
     try {
-        if (campaignConfig.jobs <= 1) {
-            graph.runSerial(campaignConfig.cancel);
-        } else {
-            exec::ThreadPool pool(campaignConfig.jobs);
-            pool.setCancellationToken(campaignConfig.cancel);
-            graph.run(pool, campaignConfig.cancel);
-        }
+        graph.runWithJobs(campaignConfig.jobs, campaignConfig.cancel);
     } catch (const CancelledError &) {
         // The graph settled (every in-flight node drained) before
         // throwing: finished points are checkpointed, abandoned ones

@@ -39,9 +39,10 @@
  *
  * Campaigns run on the execution engine (src/exec/): every point is
  * a task pipeline (characterise-HW → run-g5 → collate/checkpoint) on
- * a TaskGraph, executed serially for jobs == 1 or on a work-stealing
- * pool otherwise, with byte-identical results either way — see
- * CampaignConfig::jobs.
+ * a TaskGraph, behind its workload's base-run nodes (BaseRunNodes,
+ * gemstone/runner.hh), executed serially for jobs == 1 or on a
+ * work-stealing pool otherwise, with byte-identical results either
+ * way — see CampaignConfig::jobs.
  */
 
 #ifndef GEMSTONE_GEMSTONE_CAMPAIGN_HH
@@ -127,18 +128,6 @@ struct CampaignConfig
      * are overridden from this config.
      */
     exec::ProcPool::Config workerPool;
-
-    /**
-     * Compute each workload's two 1.0 GHz base runs (hardware shape
-     * + g5 twin) from ONE batched execution of its instruction
-     * stream (uarch::BatchedSystemModel) instead of two independent
-     * full runs. The campaign graph gains one batch node per
-     * workload that every hw/g5 node of that workload depends on.
-     * Results are byte-identical either way (the batched engine's
-     * bit-identity contract), so this is purely a speed knob —
-     * off by default to keep the historical execution shape.
-     */
-    bool batchedBaseRuns = false;
 
     /**
      * Cooperative cancellation (e.g. from a SIGINT/SIGTERM handler,

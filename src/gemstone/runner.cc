@@ -5,8 +5,9 @@
  * The experiment loops run through the execution engine (src/exec/):
  * each (workload, frequency) point becomes a small task pipeline and
  * the results are gathered by point index, so the collated dataset
- * is bit-identical at any thread count. With jobs == 1 and no result
- * store attached, the historical serial loop runs unchanged.
+ * is bit-identical at any thread count. Each workload's 1.0 GHz base
+ * runs are graph nodes of their own (BaseRunNodes), which the point
+ * nodes that would simulate depend on.
  */
 
 #include "gemstone/runner.hh"
@@ -19,8 +20,6 @@
 #include <string>
 
 #include "exec/procpool.hh"
-#include "exec/taskgraph.hh"
-#include "exec/threadpool.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -129,6 +128,13 @@ decodeG5Stats(const exec::ResultStore::Fields &fields,
     return true;
 }
 
+/** One (workload, frequency) point of an experiment graph. */
+struct PointSpec
+{
+    const workload::Workload *work;
+    double freq;
+};
+
 /** The run-wide deadline of one experiment entry point. */
 Deadline
 runDeadlineFor(const RunnerConfig &config)
@@ -169,39 +175,28 @@ ExperimentRunner::modelFor(hwsim::CpuCluster cluster)
 }
 
 void
-ExperimentRunner::prewarmBatchedBaseRuns(
-    const workload::Workload &work, hwsim::CpuCluster cluster)
+ExperimentRunner::warmBaseRun(BaseEngine engine,
+                              const workload::Workload &work,
+                              hwsim::CpuCluster cluster)
 {
-    // Both 1.0 GHz base runs a validation point ever needs — the
-    // hardware cluster shape and its g5 twin — computed from ONE
-    // architectural execution of the workload: the two configs share
-    // the functional surface (same memBytes/quantum/numCores), so
-    // they batch into one driver pass with two timing lanes. The
-    // results are bit-identical to the lazy per-cache fills, which
-    // is why installing them is invisible to every consumer.
-    std::uint64_t mem_bytes =
-        std::max<std::uint64_t>(work.memBytes, 64 * 1024);
-    g5::G5Model model = modelFor(cluster);
+    CoopScope scope(runnerConfig.cancel, Deadline(), "warmBaseRun");
+    if (engine == BaseEngine::Hw)
+        board->warmBaseRun(work, cluster);
+    else
+        sim->warmBaseRun(work, modelFor(cluster));
+}
 
-    uarch::ClusterConfig hw_config =
-        cluster == hwsim::CpuCluster::LittleA7
-        ? hwsim::trueLittleConfig()
-        : hwsim::trueBigConfig();
-    hw_config.memBytes = mem_bytes;
-    uarch::ClusterConfig g5_config =
-        g5::ex5Config(model, runnerConfig.g5Version);
-    g5_config.memBytes = mem_bytes;
-
-    std::vector<uarch::BatchPoint> points = {{hw_config, 1.0},
-                                             {g5_config, 1.0}};
-    uarch::BatchedSystemModel &batched =
-        hwsim::pooledBatchedModel(points);
-    work.prepareMemory(batched.memory());
-    thread_local std::vector<uarch::RunResult> results;
-    batched.runInto(work.program, work.numThreads, results);
-
-    board->installBaseRun(work, cluster, results[0]);
-    sim->installBaseRun(work, model, results[1]);
+bool
+ExperimentRunner::needsSimulation(BaseEngine engine,
+                                  const workload::Workload &work,
+                                  hwsim::CpuCluster cluster,
+                                  double freq_mhz) const
+{
+    if (!store)
+        return true;
+    return !store->contains(engine == BaseEngine::Hw
+                                ? hwKey(work, cluster, freq_mhz, 0)
+                                : g5Key(work, cluster, freq_mhz));
 }
 
 void
@@ -385,34 +380,7 @@ ExperimentRunner::runValidation(hwsim::CpuCluster cluster,
     if (runnerConfig.workers > 1 && !store)
         attachResultStore(std::make_shared<exec::ResultStore>());
 
-    g5::G5Model model = modelFor(cluster);
     const Deadline deadline = runDeadlineFor(runnerConfig);
-    if (runnerConfig.jobs <= 1 && !store) {
-        // The historical serial loop, kept verbatim: measure() tracks
-        // retry attempts in the platform's shared per-point counter,
-        // which the concurrent path replaces with explicit attempts.
-        CoopScope scope(runnerConfig.cancel, deadline, "validation");
-        for (const workload::Workload *work :
-             workload::Suite::validationSet()) {
-            for (double freq : freqs_mhz) {
-                ValidationRecord record;
-                record.work = work;
-                record.cluster = cluster;
-                record.freqMhz = freq;
-                record.hw = board->measure(*work, cluster, freq,
-                                           runnerConfig.repeats);
-                record.g5 = sim->run(*work, model, freq);
-                dataset.records.push_back(std::move(record));
-            }
-        }
-        return dataset;
-    }
-
-    struct PointSpec
-    {
-        const workload::Workload *work;
-        double freq;
-    };
     std::vector<PointSpec> specs;
     for (const workload::Workload *work :
          workload::Suite::validationSet()) {
@@ -433,6 +401,8 @@ ExperimentRunner::runValidation(hwsim::CpuCluster cluster,
     // storage outlives any in-flight node.
     std::vector<ValidationRecord> records(specs.size());
     exec::TaskGraph graph;
+    BaseRunNodes base(*this, graph, cluster, runnerConfig.cancel,
+                      deadline, "validation");
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const PointSpec &spec = specs[i];
         graph.add("hw:" + spec.work->name,
@@ -444,22 +414,18 @@ ExperimentRunner::runValidation(hwsim::CpuCluster cluster,
                       records[i].freqMhz = spec.freq;
                       records[i].hw = measureHw(*spec.work, cluster,
                                                 spec.freq, 0);
-                  });
+                  },
+                  base.depsFor(BaseEngine::Hw, *spec.work, spec.freq));
         graph.add("g5:" + spec.work->name,
                   [this, &records, spec, cluster, i, deadline] {
                       CoopScope scope(runnerConfig.cancel, deadline,
                                       "validation");
                       records[i].g5 =
                           runG5(*spec.work, cluster, spec.freq);
-                  });
+                  },
+                  base.depsFor(BaseEngine::G5, *spec.work, spec.freq));
     }
-    if (runnerConfig.jobs <= 1) {
-        graph.runSerial(runnerConfig.cancel);
-    } else {
-        exec::ThreadPool pool(runnerConfig.jobs);
-        pool.setCancellationToken(runnerConfig.cancel);
-        graph.run(pool, runnerConfig.cancel);
-    }
+    graph.runWithJobs(runnerConfig.jobs, runnerConfig.cancel);
     dataset.records = std::move(records);
     return dataset;
 }
@@ -471,26 +437,6 @@ ExperimentRunner::runPowerCharacterisation(hwsim::CpuCluster cluster)
         attachResultStore(std::make_shared<exec::ResultStore>());
 
     const Deadline deadline = runDeadlineFor(runnerConfig);
-    if (runnerConfig.jobs <= 1 && !store) {
-        CoopScope scope(runnerConfig.cancel, deadline, "power");
-        std::vector<powmon::PowerObservation> observations;
-        for (const workload::Workload &work :
-             workload::Suite::all()) {
-            for (double freq : frequenciesFor(cluster)) {
-                powmon::PowerObservation obs;
-                obs.measurement = board->measure(
-                    work, cluster, freq, runnerConfig.repeats);
-                observations.push_back(std::move(obs));
-            }
-        }
-        return observations;
-    }
-
-    struct PointSpec
-    {
-        const workload::Workload *work;
-        double freq;
-    };
     std::vector<PointSpec> specs;
     for (const workload::Workload &work : workload::Suite::all()) {
         for (double freq : frequenciesFor(cluster))
@@ -507,6 +453,8 @@ ExperimentRunner::runPowerCharacterisation(hwsim::CpuCluster cluster)
 
     std::vector<powmon::PowerObservation> observations(specs.size());
     exec::TaskGraph graph;
+    BaseRunNodes base(*this, graph, cluster, runnerConfig.cancel,
+                      deadline, "power");
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const PointSpec &spec = specs[i];
         graph.add("hw:" + spec.work->name,
@@ -515,16 +463,44 @@ ExperimentRunner::runPowerCharacterisation(hwsim::CpuCluster cluster)
                                       "power");
                       observations[i].measurement = measureHw(
                           *spec.work, cluster, spec.freq, 0);
-                  });
+                  },
+                  base.depsFor(BaseEngine::Hw, *spec.work, spec.freq));
     }
-    if (runnerConfig.jobs <= 1) {
-        graph.runSerial(runnerConfig.cancel);
-    } else {
-        exec::ThreadPool pool(runnerConfig.jobs);
-        pool.setCancellationToken(runnerConfig.cancel);
-        graph.run(pool, runnerConfig.cancel);
-    }
+    graph.runWithJobs(runnerConfig.jobs, runnerConfig.cancel);
     return observations;
+}
+
+BaseRunNodes::BaseRunNodes(ExperimentRunner &runner,
+                           exec::TaskGraph &graph,
+                           hwsim::CpuCluster cluster,
+                           CancellationToken cancel, Deadline deadline,
+                           const char *what)
+    : runner(runner), graph(graph), cluster(cluster),
+      cancel(std::move(cancel)), deadline(deadline), what(what)
+{
+}
+
+std::vector<exec::TaskGraph::NodeId>
+BaseRunNodes::depsFor(BaseEngine engine, const workload::Workload &work,
+                      double freq_mhz)
+{
+    if (!runner.needsSimulation(engine, work, cluster, freq_mhz))
+        return {};
+    auto [it, added] = nodes.try_emplace({engine, &work});
+    if (added) {
+        it->second = graph.add(
+            std::string(engine == BaseEngine::Hw ? "base:hw:"
+                                                 : "base:g5:") +
+                work.name,
+            // By value: the nodes must not depend on this object's
+            // lifetime, only on the runner's and the workload's.
+            [runner = &runner, engine, &work, cluster = cluster,
+             cancel = cancel, deadline = deadline, what = what] {
+                CoopScope scope(cancel, deadline, what);
+                runner->warmBaseRun(engine, work, cluster);
+            });
+    }
+    return {it->second};
 }
 
 } // namespace gemstone::core

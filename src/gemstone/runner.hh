@@ -8,14 +8,21 @@
 #ifndef GEMSTONE_GEMSTONE_RUNNER_HH
 #define GEMSTONE_GEMSTONE_RUNNER_HH
 
+#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "exec/resultstore.hh"
+#include "exec/taskgraph.hh"
 #include "gemstone/dataset.hh"
 #include "powmon/model.hh"
 #include "util/cancellation.hh"
 
 namespace gemstone::core {
+
+/** The two simulators whose base runs every DVFS point re-times. */
+enum class BaseEngine { Hw, G5 };
 
 /** Runner configuration. */
 struct RunnerConfig
@@ -33,10 +40,11 @@ struct RunnerConfig
      */
     double boardVariation = 0.0;
     /**
-     * Worker threads for the experiment loops. 1 keeps the exact
-     * historical serial execution; results are bit-identical at any
-     * value (points are gathered by index and every measurement is a
-     * pure function of its identity).
+     * Worker threads for the experiment graphs. 1 runs the graph
+     * inline (TaskGraph::runSerial); any value gives bit-identical
+     * results, because points are gathered by index and every
+     * measurement is a pure function of its identity, retry attempt
+     * included.
      */
     unsigned jobs = 1;
     /**
@@ -129,16 +137,23 @@ class ExperimentRunner
                       hwsim::CpuCluster cluster, double freq_mhz);
 
     /**
-     * Fill both 1.0 GHz base-run caches for (workload, cluster) —
-     * the hardware platform's and the g5 simulator's — from one
-     * batched execution of the workload's instruction stream
-     * (uarch::BatchedSystemModel with two timing lanes), instead of
-     * two independent full runs. Results are bit-identical to the
-     * lazy fills; racing with them is safe (the caches install under
-     * once-flags). Used by campaigns with batched base runs enabled.
+     * Compute the 1.0 GHz base run that every DVFS point of
+     * (workload, cluster) on @p engine is re-timed from; a no-op when
+     * it is already cached. The body of the experiment graphs' base
+     * nodes (see BaseRunNodes). Safe to call concurrently.
      */
-    void prewarmBatchedBaseRuns(const workload::Workload &work,
-                                hwsim::CpuCluster cluster);
+    void warmBaseRun(BaseEngine engine, const workload::Workload &work,
+                     hwsim::CpuCluster cluster);
+
+    /**
+     * True when the point's attempt-0 hardware measurement (Hw) or
+     * its g5 run (G5) would simulate: no store is attached, or the
+     * store lacks its key. Leaves the store's statistics untouched.
+     */
+    bool needsSimulation(BaseEngine engine,
+                         const workload::Workload &work,
+                         hwsim::CpuCluster cluster,
+                         double freq_mhz) const;
 
     hwsim::OdroidXu3Platform &platform() { return *board; }
     g5::G5Simulation &simulator() { return *sim; }
@@ -181,6 +196,50 @@ class ExperimentRunner
     std::unique_ptr<hwsim::OdroidXu3Platform> board;
     std::unique_ptr<g5::G5Simulation> sim;
     std::shared_ptr<exec::ResultStore> store;
+};
+
+/**
+ * The base-run nodes of one experiment graph. Every DVFS point of a
+ * workload is re-timed from one 1.0 GHz base run per engine, so the
+ * graph gets a base:hw:<workload> / base:g5:<workload> node that
+ * computes it, and each point node that would simulate depends on
+ * it: no pool thread ever parks on another point's once-flag. A
+ * point whose result is already in the runner's store gets no
+ * dependency, and a workload with no such point gets no node, so a
+ * warm run simulates nothing.
+ */
+class BaseRunNodes
+{
+  public:
+    /**
+     * Node bodies run under CoopScope(@p cancel, @p deadline,
+     * @p what): pass the token and run deadline of the point nodes
+     * they feed, so a cancel or deadline unwinds a base node exactly
+     * like a point node.
+     */
+    BaseRunNodes(ExperimentRunner &runner, exec::TaskGraph &graph,
+                 hwsim::CpuCluster cluster, CancellationToken cancel,
+                 Deadline deadline, const char *what);
+
+    /**
+     * Dependencies of the @p engine node of point (@p work,
+     * @p freq_mhz): the workload's base node, added on first need,
+     * or none when the point would not simulate.
+     */
+    std::vector<exec::TaskGraph::NodeId> depsFor(
+        BaseEngine engine, const workload::Workload &work,
+        double freq_mhz);
+
+  private:
+    ExperimentRunner &runner;
+    exec::TaskGraph &graph;
+    hwsim::CpuCluster cluster;
+    CancellationToken cancel;
+    Deadline deadline;
+    const char *what;
+    std::map<std::pair<BaseEngine, const workload::Workload *>,
+             exec::TaskGraph::NodeId>
+        nodes;
 };
 
 } // namespace gemstone::core

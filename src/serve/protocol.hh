@@ -28,8 +28,8 @@ namespace gemstone::serve {
 /** Protocol revision; bumped on any incompatible payload change.
  *  v2: CampaignSpec::durable, resume tokens in Accepted,
  *  Attach/Resumed frames.
- *  v3: CampaignSpec::oppGrid (batched base runs), predecode-cache
- *  counters in DaemonStats. */
+ *  v3: CampaignSpec::oppGrid (now decoded and ignored), predecode-
+ *  cache counters in DaemonStats. */
 inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /** Why a submit or attach was refused. */
@@ -89,10 +89,10 @@ struct CampaignSpec
      */
     bool durable = false;
     /**
-     * OPP-grid request: the campaign computes each workload's base
-     * runs with the batched multi-config engine
-     * (CampaignConfig::batchedBaseRuns). Results are byte-identical
-     * either way; this is a speed knob for frequency sweeps.
+     * Retired OPP-grid request flag. The wire byte stays so v3
+     * clients keep working, but it is decoded and ignored: every
+     * campaign schedules its base runs as graph nodes (BaseRunNodes),
+     * the speed this flag once opted into.
      */
     bool oppGrid = false;
 };

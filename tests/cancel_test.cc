@@ -402,6 +402,57 @@ TEST(CancelCampaign, PreCancelledTokenAbandonsEveryPoint)
     }
 }
 
+TEST(CancelCampaign, CancelInsideBaseNodeUnwindsLikeAPointNode)
+{
+    // At jobs=1 the graph runs inline on this thread, and its first
+    // node is the first workload's base:hw: node. The poll hook
+    // fires at the first cooperative checkpoint, which is inside
+    // that base run, and cancels the token there.
+    auto cancel_at_first_poll = [](CancellationToken token) {
+        setCoopPollHook([token]() mutable { token.requestCancel(); },
+                        0.0);
+    };
+
+    RunnerConfig runner_config;
+    cancel_at_first_poll(runner_config.cancel);
+    ExperimentRunner runner(runner_config);
+    EXPECT_THROW(runner.runValidation(hwsim::CpuCluster::BigA15,
+                                      {kFreq}),
+                 CancelledError);
+    clearCoopPollHook();
+
+    ScratchFile checkpoint("gs_cancel_base_node_test.csv");
+    CampaignConfig policy;
+    policy.checkpointPath = checkpoint.path;
+    CampaignConfig interrupted = policy;
+    interrupted.cancel = CancellationToken();
+    cancel_at_first_poll(interrupted.cancel);
+    ExperimentRunner first = makeFaultedRunner();
+    CampaignResult partial =
+        CampaignEngine(first, interrupted)
+            .runValidation(hwsim::CpuCluster::BigA15, {kFreq});
+    clearCoopPollHook();
+
+    // The base node is cancelled and its dependents are skipped:
+    // every point is left for the resume, as if the cancel had hit
+    // a point node before anything finished.
+    EXPECT_TRUE(partial.cancelled);
+    EXPECT_FALSE(partial.complete);
+    EXPECT_EQ(partial.measuredPoints, 0u);
+    EXPECT_EQ(partial.cancelledPoints, partial.points.size());
+
+    ExperimentRunner second = makeFaultedRunner();
+    CampaignResult resumed =
+        CampaignEngine(second, policy)
+            .runValidation(hwsim::CpuCluster::BigA15, {kFreq});
+    ExperimentRunner reference = makeFaultedRunner();
+    EXPECT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.dataset.toCsv(),
+              CampaignEngine(reference, CampaignConfig{})
+                  .runValidation(hwsim::CpuCluster::BigA15, {kFreq})
+                  .dataset.toCsv());
+}
+
 TEST(CancelCampaign, InterruptedCampaignResumesByteIdentical)
 {
     // The reference: one uninterrupted faulted campaign.
@@ -539,6 +590,8 @@ TEST(CancelCampaign, AttemptDeadlineFeedsRetryMachinery)
 
 TEST(CancelCampaign, RunnerDeadlineUnwindsValidation)
 {
+    // The expired deadline trips in the first node, a base run: the
+    // DeadlineError unwinds from it exactly as from a point node.
     RunnerConfig config;
     config.runDeadlineSeconds = 1e-9;
     ExperimentRunner runner(config);

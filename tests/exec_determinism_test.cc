@@ -44,7 +44,7 @@ CampaignResult
 faultedCampaign(unsigned jobs,
                 std::shared_ptr<exec::ResultStore> store = nullptr,
                 const std::string &checkpoint_path = {},
-                std::size_t max_points = 0, bool batched = false)
+                std::size_t max_points = 0)
 {
     ExperimentRunner runner{RunnerConfig{}};
     runner.platform().injectFaults(hwsim::FaultConfig::labMix());
@@ -54,19 +54,17 @@ faultedCampaign(unsigned jobs,
     policy.jobs = jobs;
     policy.checkpointPath = checkpoint_path;
     policy.maxPoints = max_points;
-    policy.batchedBaseRuns = batched;
     CampaignEngine engine(runner, policy);
     return engine.runValidation(hwsim::CpuCluster::BigA15, {kFreq});
 }
 
-/** An unfaulted (clean-lab) campaign, optionally batched. */
+/** An unfaulted (clean-lab) campaign. */
 CampaignResult
-cleanCampaign(unsigned jobs, bool batched)
+cleanCampaign(unsigned jobs)
 {
     ExperimentRunner runner{RunnerConfig{}};
     CampaignConfig policy;
     policy.jobs = jobs;
-    policy.batchedBaseRuns = batched;
     CampaignEngine engine(runner, policy);
     return engine.runValidation(hwsim::CpuCluster::BigA15, {kFreq});
 }
@@ -202,56 +200,11 @@ TEST(ExecDeterminism, WarmResultStoreReplaysByteIdentically)
     expectIdentical(cold, warm_parallel, "warm parallel");
 }
 
-TEST(ExecDeterminism, BatchedBaseRunsAreByteIdenticalUnderFaults)
+TEST(ExecDeterminism, CleanCampaignIsByteIdenticalAcrossThreads)
 {
-    // The batched engine computes both 1.0 GHz base runs per
-    // workload from one instruction stream; the campaign-visible
-    // output must not move by a byte, at any thread count, with the
-    // fault mix biting.
-    CampaignResult serial = faultedCampaign(1);
-    ASSERT_GT(serial.totalFailures + serial.totalRejected, 0u);
-
-    for (unsigned jobs : {1u, 4u}) {
-        CampaignResult batched = faultedCampaign(
-            jobs, nullptr, {}, 0, /*batched=*/true);
-        expectIdentical(serial, batched,
-                        ("batched jobs=" + std::to_string(jobs))
-                            .c_str());
-    }
-}
-
-TEST(ExecDeterminism, BatchedBaseRunsAreByteIdenticalUnfaulted)
-{
-    CampaignResult plain = cleanCampaign(1, /*batched=*/false);
-    for (unsigned jobs : {1u, 4u}) {
-        CampaignResult batched = cleanCampaign(jobs, /*batched=*/true);
-        expectIdentical(plain, batched,
-                        ("clean batched jobs=" + std::to_string(jobs))
-                            .c_str());
-    }
-}
-
-TEST(ExecDeterminism, BatchedKillAndResumeMatchesUnbatched)
-{
-    // Interrupted-then-resumed with batched base runs on both legs
-    // must reproduce the serial unbatched kill/resume byte for byte.
-    ScratchFile plain_ckpt("gs_exec_det_plain.csv");
-    CampaignResult plain_partial =
-        faultedCampaign(1, nullptr, plain_ckpt.path, 10);
-    ASSERT_FALSE(plain_partial.complete);
-    CampaignResult plain_full =
-        faultedCampaign(1, nullptr, plain_ckpt.path);
-    ASSERT_EQ(plain_full.resumedPoints, 10u);
-
-    ScratchFile batched_ckpt("gs_exec_det_batched.csv");
-    CampaignResult batched_partial = faultedCampaign(
-        4, nullptr, batched_ckpt.path, 10, /*batched=*/true);
-    expectIdentical(plain_partial, batched_partial,
-                    "batched partial campaign");
-    CampaignResult batched_full = faultedCampaign(
-        4, nullptr, batched_ckpt.path, 0, /*batched=*/true);
-    expectIdentical(plain_full, batched_full,
-                    "batched resumed campaign");
+    CampaignResult serial = cleanCampaign(1);
+    ASSERT_EQ(serial.totalFailures, 0u);
+    expectIdentical(serial, cleanCampaign(4), "clean jobs=4");
 }
 
 #if defined(__unix__) || defined(__APPLE__)

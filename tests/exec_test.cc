@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -235,6 +236,31 @@ TEST(TaskGraph, LowestIdErrorWinsAtAnyThreadCount)
     }
 }
 
+TEST(TaskGraph, RunWithJobsMatchesSerialAndParallel)
+{
+    // jobs <= 1 runs inline in id order; more jobs run on a pool.
+    for (unsigned jobs : {0u, 1u, 3u}) {
+        TaskGraph graph;
+        std::vector<int> order;
+        std::mutex order_mutex;
+        auto record = [&](int id) {
+            return [&, id] {
+                std::lock_guard<std::mutex> lock(order_mutex);
+                order.push_back(id);
+            };
+        };
+        auto root = graph.add("root", record(0));
+        graph.add("left", record(1), {root});
+        graph.add("right", record(2), {root});
+        graph.runWithJobs(jobs, CancellationToken());
+        ASSERT_EQ(order.size(), 3u) << "jobs=" << jobs;
+        EXPECT_EQ(order.front(), 0) << "jobs=" << jobs;
+        if (jobs <= 1) {
+            EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // ResultStore
 // ---------------------------------------------------------------------
@@ -263,6 +289,33 @@ TEST(ResultStore, HitAfterInsertMissBefore)
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.insertions, 1u);
+}
+
+TEST(ResultStore, ContainsIsStatsNeutral)
+{
+    ResultStore store(8);
+    EXPECT_FALSE(store.contains("k1"));
+    store.insert("k1", {{"x", 1.5}});
+    EXPECT_TRUE(store.contains("k1"));
+    EXPECT_FALSE(store.contains("k2"));
+
+    ResultStore::Stats stats = store.stats();
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.insertions, 1u);
+}
+
+TEST(ResultStore, ContainsLeavesLruOrderAlone)
+{
+    ResultStore store(2);
+    store.insert("a", {{"v", 1.0}});
+    store.insert("b", {{"v", 2.0}});
+    // A lookup of "a" would save it; contains() must not.
+    EXPECT_TRUE(store.contains("a"));
+    store.insert("c", {{"v", 3.0}});
+    EXPECT_FALSE(store.contains("a"));
+    EXPECT_TRUE(store.contains("b"));
+    EXPECT_TRUE(store.contains("c"));
 }
 
 TEST(ResultStore, LruEvictionDropsColdestEntry)

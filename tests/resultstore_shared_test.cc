@@ -106,6 +106,31 @@ TEST(SharedTier, LateArrivalsAbsorbOnMiss)
     EXPECT_EQ(b.stats().sharedHits, 1u);
 }
 
+TEST(SharedTier, ContainsSeesLateArrivalsWithoutCounting)
+{
+    ScratchFile file("gs_tier_contains.csv");
+    ResultStore a;
+    ResultStore b;
+    ASSERT_TRUE(a.attachSharedTier(file.path).ok());
+    ASSERT_TRUE(b.attachSharedTier(file.path).ok());
+
+    // Published by a after b attached: contains() must go back to
+    // the file like lookup() does, yet count nothing.
+    a.insert("late|key", sampleFields(5.0));
+    EXPECT_TRUE(b.contains("late|key"));
+    EXPECT_FALSE(b.contains("never|published"));
+    ResultStore::Stats stats = b.stats();
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.sharedHits, 0u);
+    EXPECT_EQ(stats.insertions, 0u);
+
+    // The absorbed entry now serves a plain hit.
+    ResultStore::Fields out;
+    ASSERT_TRUE(b.lookup("late|key", out));
+    EXPECT_TRUE(bitEqual(out[1].second, 5.0 + 1.0 / 3.0));
+}
+
 TEST(SharedTier, PublishDeduplicatesAcrossStores)
 {
     ScratchFile file("gs_tier_dedup.csv");

@@ -292,12 +292,12 @@ TEST(ServeTest, ConcurrentClientsByteIdenticalToOneShot)
 
 TEST(ServeTest, BatchedSubmitDemuxesPerSpecByteIdentically)
 {
-    // Three OPP-grid specs pipelined over ONE connection, plus one
-    // invalid spec wedged into the middle: the in-order admission
-    // mapping must bind the rejection to the right slot, and every
-    // accepted spec's daemon-served bytes must equal a plain (non
-    // OPP-grid) one-shot run of the same campaign — the batched
-    // engine's bit-identity contract, end to end through the wire.
+    // Three specs pipelined over ONE connection, plus one invalid
+    // spec wedged into the middle: the in-order admission mapping
+    // must bind the rejection to the right slot, and every accepted
+    // spec's daemon-served bytes must equal a one-shot run of the
+    // same campaign. The submitted specs set the retired v3 oppGrid
+    // byte, which the daemon decodes and ignores.
     std::vector<serve::CampaignSpec> specs;
     std::vector<std::string> expected;
     for (int i = 0; i < 3; ++i) {
