@@ -12,6 +12,7 @@
 #include <filesystem>
 
 #include "exec/sharedtier.hh"
+#include "util/atomicfile.hh"
 #include "util/csv.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
@@ -192,55 +193,77 @@ ResultStore::loadCsv(const std::string &path)
         warn("result store ", path, ": missing columns; not loaded");
         return 0;
     }
-    if (reader.hasTruncatedTail()) {
+    const std::size_t key_col = reader.columnIndex("key");
+    const std::size_t field_col = reader.columnIndex("field");
+    const std::size_t value_col = reader.columnIndex("value");
+
+    // Every row saveCsv() or the shared tier writes ends in a newline,
+    // so a final row without one was cut mid-write even when its
+    // arity is complete ("1.5" torn to "1" still parses). Rows of one
+    // entry are contiguous: the entry the torn row belonged to, or
+    // the one before a dropped partial record, may be missing rows,
+    // so the whole last key run goes with it.
+    std::size_t rows = reader.rowCount();
+    if (reader.hasTruncatedTail() || reader.finalRowUnterminated()) {
         warnLimited("resultstore-torn", 3, "result store ", path,
                     ": truncated final row dropped (torn write); ",
-                    "loading the rows before it");
+                    "loading the entries before it");
+        const std::string_view last_key =
+            rows > 0 ? reader.cell(rows - 1, key_col)
+                     : std::string_view();
+        while (rows > 0 && reader.cell(rows - 1, key_col) == last_key)
+            --rows;
     } else if (!reader.sawIntegrityMarker()) {
         warnLimited("resultstore-no-marker", 3, "result store ", path,
                     ": no integrity marker; the file may be from an ",
                     "interrupted save");
     }
 
-    // Rows of one entry are contiguous (saveCsv writes them so);
-    // gather runs of equal keys into one payload each.
     std::lock_guard<std::mutex> lock(storeMutex);
     // Loading persisted work is not new work: keep the insertions
     // counter meaningful as "results computed by this process".
     const std::uint64_t insertions_before = counters.insertions;
     std::size_t loaded = 0;
-    std::string current_key;
-    Fields current_fields;
-    bool current_bad = false;
-    auto flush = [&]() {
-        if (!current_key.empty() && !current_bad) {
-            insertLocked(current_key, std::move(current_fields));
+    for (std::size_t first = 0; first < rows;) {
+        const std::string_view key = reader.cell(first, key_col);
+        std::size_t last = first + 1;
+        while (last < rows && reader.cell(last, key_col) == key)
+            ++last;
+        Fields fields;
+        fields.reserve(last - first);
+        bool bad = false;
+        for (std::size_t i = first; i < last; ++i) {
+            const std::size_t errors_before = reader.errors().size();
+            const double value = reader.numericCell(i, value_col);
+            // A malformed value poisons only its own entry.
+            bad = bad || reader.errors().size() != errors_before;
+            fields.emplace_back(reader.cell(i, field_col), value);
+        }
+        if (!key.empty() && !bad) {
+            insertLocked(std::string(key), std::move(fields));
             ++loaded;
         }
-        current_fields.clear();
-        current_bad = false;
-    };
-    for (std::size_t i = 0; i < reader.rowCount(); ++i) {
-        const std::string &key = reader.cell(i, "key");
-        if (key != current_key) {
-            flush();
-            current_key = key;
-        }
-        std::size_t errors_before = reader.errors().size();
-        double value = reader.numericCell(i, "value");
-        if (reader.errors().size() != errors_before) {
-            // A malformed value poisons only its own entry.
-            current_bad = true;
-            continue;
-        }
-        current_fields.emplace_back(reader.cell(i, "field"), value);
+        first = last;
     }
-    flush();
     counters.insertions = insertions_before;
     for (const std::string &error : reader.errorStrings())
         warnLimited("resultstore-load", 3, "result store ", path,
                     ": ", error);
     return loaded;
+}
+
+void
+ResultStore::appendCsvRows(std::string &out, const std::string &key,
+                           const Fields &fields)
+{
+    for (const auto &[name, value] : fields) {
+        CsvWriter::appendQuoted(out, key);
+        out.push_back(',');
+        CsvWriter::appendQuoted(out, name);
+        out.push_back(',');
+        appendExactDouble(out, value);
+        out.push_back('\n');
+    }
 }
 
 Status
@@ -251,19 +274,25 @@ ResultStore::saveCsv(const std::string &path) const
     std::lock_guard<std::mutex> lock(storeMutex);
     std::vector<const Entry *> sorted;
     sorted.reserve(entries.size());
-    for (const auto &[hash, entry] : entries)
+    // Size the document up front: quoting is rare and an exact double
+    // takes at most 24 characters, so one allocation nearly always
+    // holds it.
+    std::size_t bytes = 0;
+    for (const auto &[hash, entry] : entries) {
         sorted.push_back(&entry);
+        for (const auto &field : entry.fields)
+            bytes += entry.key.size() + field.first.size() + 27;
+    }
     std::sort(sorted.begin(), sorted.end(),
               [](const Entry *a, const Entry *b) {
                   return a->key < b->key;
               });
 
-    CsvWriter csv(kStoreColumns);
-    for (const Entry *entry : sorted) {
-        for (const auto &[name, value] : entry->fields)
-            csv.addRow({entry->key, name, formatExactDouble(value)});
-    }
-    return csv.writeFileAtomic(path);
+    std::string document = join(kStoreColumns, ",") + "\n";
+    document.reserve(document.size() + bytes);
+    for (const Entry *entry : sorted)
+        appendCsvRows(document, entry->key, entry->fields);
+    return atomicWriteFile(path, document, kCsvIntegrityMarker);
 }
 
 Status

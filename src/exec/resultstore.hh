@@ -15,8 +15,9 @@
  * Values are flat ordered lists of named doubles; the callers own
  * the encoding of their result structs (see gemstone/runner.cc).
  * Doubles survive the CSV round trip bit-exactly (17 significant
- * digits), which is what makes a warm-cache campaign byte-identical
- * to a cold one.
+ * digits written by to_chars, read back by from_chars, subnormals
+ * included), which is what makes a warm-cache campaign
+ * byte-identical to a cold one.
  *
  * Thread-safety contract: all public members are safe to call from
  * any thread; a single mutex serialises the table, the LRU list and
@@ -103,8 +104,13 @@ class ResultStore
      * nothing; malformed rows are skipped with a warning. A file
      * without the trailing integrity marker, or with a truncated
      * final row (a torn write from an older or crashed process), is
-     * loaded up to its last good row with a warning — memoised
-     * results are an optimisation, so salvage beats refusal.
+     * loaded with a warning — memoised results are an optimisation,
+     * so salvage beats refusal. A final row without its newline
+     * counts as torn even when it parses, and a torn final row takes
+     * its whole entry with it, so a cut inside a row never loads a
+     * wrong or partial entry. A cut exactly at a row boundary of a
+     * marker-less file looks complete and can still load a partial
+     * last entry.
      */
     std::size_t loadCsv(const std::string &path);
 
@@ -115,6 +121,14 @@ class ResultStore
      * complete file, never a torn one.
      */
     Status saveCsv(const std::string &path) const;
+
+    /**
+     * Append the CSV rows of one entry — "key,field,value\n" per
+     * field, RFC-4180-quoted, values round-trip-exact — to @p out.
+     * The one row format of saveCsv() and the shared tier.
+     */
+    static void appendCsvRows(std::string &out, const std::string &key,
+                              const Fields &fields);
 
     /**
      * Attach a shared persistent tier (exec/sharedtier.hh) at

@@ -20,15 +20,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
 #include <utility>
 
 #include "exec/resultstore.hh"
 #include "exec/wireproto.hh"
-#include "util/csv.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -85,23 +82,6 @@ parseTierLine(const std::string &line,
         ++i; // skip ','
     }
     return cell == 3;
-}
-
-/** Strict finite-double parse of a value cell. */
-bool
-parseTierValue(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    double value = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    if (!std::isfinite(value))
-        return false;
-    out = value;
-    return true;
 }
 
 } // namespace
@@ -272,7 +252,7 @@ SharedTierFile::absorbNewLocked(const Sink &sink)
             current_key = cells[0];
         }
         double value = 0.0;
-        if (!parseTierValue(cells[2], value)) {
+        if (!parseFiniteDouble(cells[2], value)) {
             warnLimited("sharedtier-value", 3, "shared tier ",
                         filePath, ": bad value for key ", cells[0],
                         " field ", cells[1], ": ", cells[2]);
@@ -316,14 +296,7 @@ SharedTierFile::publish(const std::string &key, const Fields &fields,
     // Append the whole entry — every field row — as one write while
     // holding the exclusive lock, so readers never see a torn group.
     std::string rows;
-    for (const auto &[name, value] : fields) {
-        rows += CsvWriter::quote(key);
-        rows += ',';
-        rows += CsvWriter::quote(name);
-        rows += ',';
-        rows += formatExactDouble(value);
-        rows += '\n';
-    }
+    ResultStore::appendCsvRows(rows, key, fields);
     off_t end = ::lseek(fd, 0, SEEK_END);
     bool wrote = end >= 0 && writeAll(fd, rows);
     if (wrote) {

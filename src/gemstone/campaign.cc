@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -218,49 +217,43 @@ namespace {
 
 /** Parse "id:count;id:count" (round-trip-exact counts). */
 bool
-parsePmcField(const std::string &text, std::map<int, double> &pmc)
+parsePmcField(std::string_view text, std::map<int, double> &pmc)
 {
     pmc.clear();
     if (text.empty())
         return true;
-    for (const std::string &item : split(text, ';')) {
+    for (const std::string &item : split(std::string(text), ';')) {
         std::size_t colon = item.find(':');
         if (colon == std::string::npos)
             return false;
+        int id = 0;
         try {
-            std::size_t consumed = 0;
-            int id = std::stoi(item.substr(0, colon));
-            double count = std::stod(item.substr(colon + 1),
-                                     &consumed);
-            if (consumed != item.size() - colon - 1 ||
-                !std::isfinite(count)) {
-                return false;
-            }
-            pmc[id] = count;
+            id = std::stoi(item.substr(0, colon));
         } catch (const std::exception &) {
             return false;
         }
+        double count = 0.0;
+        if (!parseFiniteDouble(
+                std::string_view(item).substr(colon + 1), count)) {
+            return false;
+        }
+        pmc[id] = count;
     }
     return true;
 }
 
 /** Parse ";"-joined repeat timings. */
 bool
-parseRepeatsField(const std::string &text, std::vector<double> &out)
+parseRepeatsField(std::string_view text, std::vector<double> &out)
 {
     out.clear();
     if (text.empty())
         return true;
-    for (const std::string &item : split(text, ';')) {
-        try {
-            std::size_t consumed = 0;
-            double value = std::stod(item, &consumed);
-            if (consumed != item.size() || !std::isfinite(value))
-                return false;
-            out.push_back(value);
-        } catch (const std::exception &) {
+    for (const std::string &item : split(std::string(text), ';')) {
+        double value = 0.0;
+        if (!parseFiniteDouble(item, value))
             return false;
-        }
+        out.push_back(value);
     }
     return true;
 }
@@ -332,10 +325,11 @@ CampaignEngine::loadCheckpoint(
         point.workload = reader.cell(i, "workload");
         point.freqMhz = reader.numericCell(i, "freq_mhz");
         PointStatus recorded;
-        if (!parsePointStatus(reader.cell(i, "status"), recorded)) {
-            result.warnings.push_back(
-                "checkpoint: unknown status '" +
-                reader.cell(i, "status") + "' for " + point.workload);
+        const std::string status_tag(reader.cell(i, "status"));
+        if (!parsePointStatus(status_tag, recorded)) {
+            result.warnings.push_back("checkpoint: unknown status '" +
+                                      status_tag + "' for " +
+                                      point.workload);
             continue;
         }
         point.status = recorded;
@@ -359,11 +353,11 @@ CampaignEngine::loadCheckpoint(
                 point.workload + "; re-measuring");
             continue;
         }
-        if (!parseStatusCode(reader.cell(i, "error"),
-                             point.lastError)) {
-            result.warnings.push_back(
-                "checkpoint: unknown error tag '" +
-                reader.cell(i, "error") + "' for " + point.workload);
+        const std::string error_tag(reader.cell(i, "error"));
+        if (!parseStatusCode(error_tag, point.lastError)) {
+            result.warnings.push_back("checkpoint: unknown error tag '" +
+                                      error_tag + "' for " +
+                                      point.workload);
             continue;
         }
 
@@ -383,7 +377,7 @@ CampaignEngine::loadCheckpoint(
         std::vector<std::string> canonical;
         canonical.reserve(kCheckpointColumns.size());
         for (const std::string &column : kCheckpointColumns)
-            canonical.push_back(reader.cell(i, column));
+            canonical.emplace_back(reader.cell(i, column));
         retained.push_back(std::move(canonical));
         if (reader.cell(i, "cluster") != tag)
             continue;
@@ -691,7 +685,11 @@ CampaignEngine::runValidation(hwsim::CpuCluster cluster,
             const workload::Workload &work = *found->second;
             // formatExactDouble round-trips, so the worker measures
             // the bit-identical frequency the replay will look up.
-            double freq = std::strtod(parts[2].c_str(), nullptr);
+            double freq = 0.0;
+            if (!parseFiniteDouble(parts[2], freq)) {
+                throw std::runtime_error("malformed prewarm task: " +
+                                         payload);
+            }
 
             // The worker_crash fault mode: die exactly as an
             // OOM-killed or segfaulted worker would, before any

@@ -15,7 +15,6 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <map>
 #include <string>
 
@@ -324,7 +323,11 @@ ExperimentRunner::prewarmStore(hwsim::CpuCluster cluster,
                                      payload);
         }
         const workload::Workload &work = *byName.at(parts[1]);
-        double freq = std::strtod(parts[2].c_str(), nullptr);
+        double freq = 0.0;
+        if (!parseFiniteDouble(parts[2], freq)) {
+            throw std::runtime_error("malformed prewarm task: " +
+                                     payload);
+        }
         if (dispatch == 0 && exec::ProcPool::insideWorker() &&
             board->faults().workerCrashPlanned(
                 work.name, hwsim::clusterTag(cluster), freq)) {

@@ -5,9 +5,12 @@
 
 #include "util/csv.hh"
 
-#include <cmath>
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 
 #include "util/atomicfile.hh"
 #include "util/logging.hh"
@@ -15,18 +18,48 @@
 
 namespace gemstone {
 
-CsvWriter::CsvWriter(std::vector<std::string> header)
-    : headerCells(std::move(header))
+namespace {
+
+/** Bytes that end an unquoted run: separator, quote, line ends. */
+constexpr std::array<bool, 256> kCsvSpecial = [] {
+    std::array<bool, 256> special{};
+    for (unsigned char c : {',', '"', '\n', '\r'})
+        special[c] = true;
+    return special;
+}();
+
+bool
+isCsvSpecial(char c)
 {
+    return kCsvSpecial[static_cast<unsigned char>(c)];
+}
+
+/** Append one rendered record: quoted cells, comma-joined, '\n'. */
+void
+appendRecord(std::string &out, const std::vector<std::string> &cells)
+{
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (i > 0)
+            out.push_back(',');
+        CsvWriter::appendQuoted(out, cells[i]);
+    }
+    out.push_back('\n');
+}
+
+} // namespace
+
+CsvWriter::CsvWriter(const std::vector<std::string> &header)
+    : width(header.size())
+{
+    appendRecord(document, header);
 }
 
 void
 CsvWriter::addRow(const std::vector<std::string> &cells)
 {
-    panic_if(cells.size() != headerCells.size(),
-             "csv row width mismatch: ", cells.size(), " vs ",
-             headerCells.size());
-    rows.push_back(cells);
+    panic_if(cells.size() != width, "csv row width mismatch: ",
+             cells.size(), " vs ", width);
+    appendRecord(document, cells);
 }
 
 void
@@ -41,37 +74,31 @@ CsvWriter::addNumericRow(const std::string &key,
     addRow(cells);
 }
 
-std::string
-CsvWriter::quote(const std::string &field)
+void
+CsvWriter::appendQuoted(std::string &out, std::string_view field)
 {
-    bool needs_quotes = field.find_first_of(",\"\n") != std::string::npos;
-    if (!needs_quotes)
-        return field;
-    std::string out = "\"";
+    // Three memchr-backed searches: find_first_of tests the whole set
+    // per character, which made quoting the bulk of a store save.
+    const bool needs_quotes = field.find(',') != field.npos ||
+        field.find('"') != field.npos || field.find('\n') != field.npos;
+    if (!needs_quotes) {
+        out.append(field);
+        return;
+    }
+    out.push_back('"');
     for (char c : field) {
         if (c == '"')
-            out += "\"\"";
-        else
-            out.push_back(c);
+            out.push_back('"');
+        out.push_back(c);
     }
-    out += "\"";
-    return out;
+    out.push_back('"');
 }
 
 void
 CsvWriter::write(std::ostream &os) const
 {
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (i > 0)
-                os << ',';
-            os << quote(cells[i]);
-        }
-        os << '\n';
-    };
-    emit(headerCells);
-    for (const auto &row : rows)
-        emit(row);
+    os.write(document.data(),
+             static_cast<std::streamsize>(document.size()));
 }
 
 bool
@@ -88,9 +115,7 @@ Status
 CsvWriter::writeFileAtomic(const std::string &path,
                            bool with_marker) const
 {
-    std::ostringstream buffer;
-    write(buffer);
-    return atomicWriteFile(path, buffer.str(),
+    return atomicWriteFile(path, document,
                            with_marker ? kCsvIntegrityMarker
                                        : std::string());
 }
@@ -98,134 +123,194 @@ CsvWriter::writeFileAtomic(const std::string &path,
 namespace {
 
 /**
- * Scan one RFC-4180 record starting at the current stream position.
- * Returns false at end of input. Quoted fields may span lines, so the
- * record may consume several physical lines; @p line is advanced
- * accordingly. @p at_eof is set when the record ended at end of input
- * rather than at a newline — i.e. this is the document's final,
- * possibly torn, record.
+ * Scan position over a document that is unescaped in place: a cell's
+ * text never grows when its quotes are removed, so the write offset
+ * always trails the read offset and the unescaped cells are packed
+ * into the front of the same buffer.
+ */
+struct ScanCursor
+{
+    char *data;
+    std::size_t size;
+    std::size_t read = 0;
+    std::size_t write = 0;
+    std::size_t line = 1;
+
+    /** Move the bytes [read, stop) to the write offset. */
+    void
+    copyTo(std::size_t stop)
+    {
+        const std::size_t count = stop - read;
+        if (write != read)
+            std::memmove(data + write, data + read, count);
+        write += count;
+        read = stop;
+    }
+};
+
+/**
+ * Scan one RFC-4180 record at the cursor, appending the end offset of
+ * each of its unescaped cells to @p ends. Returns false at end of
+ * input. Quoted fields may span lines, so the record may consume
+ * several physical lines; the cursor's line is advanced accordingly.
+ * @p at_eof is set when the record ended at end of input rather than
+ * at a newline — i.e. this is the document's final, possibly torn,
+ * record. Only the record's first structural problem is recorded.
  */
 bool
-scanRecord(std::istream &is, std::size_t &line,
-           std::vector<std::string> &cells,
+scanRecord(ScanCursor &cur, std::vector<std::size_t> &ends,
            std::vector<CsvError> &errors, bool &at_eof)
 {
-    cells.clear();
     at_eof = false;
-    if (is.peek() == std::char_traits<char>::eof())
+    if (cur.read == cur.size)
         return false;
 
-    std::size_t start_line = line;
-    std::string field;
+    const std::size_t start_line = cur.line;
+    std::size_t field_start = cur.write;
     bool quoted = false;       // inside a quoted field
     bool was_quoted = false;   // field began with a quote
     bool clean = true;
 
-    auto fail = [&](const std::string &message) {
+    auto fail = [&](const char *message) {
         if (clean)
             errors.push_back({start_line, message});
         clean = false;
     };
 
-    int ch;
-    while ((ch = is.get()) != std::char_traits<char>::eof()) {
-        char c = static_cast<char>(ch);
+    while (cur.read < cur.size) {
         if (quoted) {
-            if (c == '"') {
-                if (is.peek() == '"') {
-                    field.push_back('"');
-                    is.get();
-                } else {
-                    quoted = false;
-                }
+            const char *quote = static_cast<const char *>(std::memchr(
+                cur.data + cur.read, '"', cur.size - cur.read));
+            const std::size_t stop =
+                quote ? static_cast<std::size_t>(quote - cur.data)
+                      : cur.size;
+            cur.line += static_cast<std::size_t>(
+                std::count(cur.data + cur.read, cur.data + stop, '\n'));
+            cur.copyTo(stop);
+            if (cur.read == cur.size)
+                break;
+            if (cur.read + 1 < cur.size &&
+                cur.data[cur.read + 1] == '"') {
+                cur.data[cur.write++] = '"';
+                cur.read += 2;
             } else {
-                if (c == '\n')
-                    ++line;
-                field.push_back(c);
+                quoted = false;
+                ++cur.read;
             }
             continue;
         }
+        const char c = cur.data[cur.read];
         if (c == '"') {
-            if (field.empty() && !was_quoted) {
+            if (cur.write == field_start && !was_quoted) {
                 quoted = true;
                 was_quoted = true;
             } else {
                 fail(was_quoted
                          ? "text after closing quote"
                          : "stray quote inside unquoted field");
-                field.push_back(c);
+                cur.data[cur.write++] = c;
             }
+            ++cur.read;
         } else if (c == ',') {
-            cells.push_back(std::move(field));
-            field.clear();
+            ends.push_back(cur.write);
+            field_start = cur.write;
             was_quoted = false;
-        } else if (c == '\r' && is.peek() == '\n') {
+            ++cur.read;
+        } else if (c == '\r' && cur.read + 1 < cur.size &&
+                   cur.data[cur.read + 1] == '\n') {
             // CRLF: fold into the LF case on the next iteration.
+            ++cur.read;
         } else if (c == '\n') {
-            ++line;
-            cells.push_back(std::move(field));
-            return clean;
+            ++cur.read;
+            ++cur.line;
+            ends.push_back(cur.write);
+            return true;
         } else {
             if (was_quoted)
                 fail("text after closing quote");
-            field.push_back(c);
+            // Plain run: everything up to the next special byte moves
+            // in one copy (a lone '\r' is plain text).
+            std::size_t stop = cur.read + 1;
+            while (stop < cur.size && !isCsvSpecial(cur.data[stop]))
+                ++stop;
+            cur.copyTo(stop);
         }
     }
     if (quoted)
         fail("unterminated quoted field");
     // Final record without a trailing newline.
     at_eof = true;
-    cells.push_back(std::move(field));
-    ++line;
-    return clean;
+    ends.push_back(cur.write);
+    ++cur.line;
+    return true;
 }
 
 } // namespace
 
 CsvReader
-CsvReader::parse(std::istream &is)
+CsvReader::parseText(std::string text)
 {
     CsvReader reader;
-    std::size_t line = 1;
-    std::vector<std::string> cells;
+    reader.cellText = std::move(text);
+    ScanCursor cur{reader.cellText.data(), reader.cellText.size()};
+    std::vector<std::size_t> &ends = reader.cellEnds;
     bool at_eof = false;
 
-    if (!scanRecord(is, line, cells, reader.parseErrors, at_eof) &&
-        cells.empty()) {
+    if (!scanRecord(cur, ends, reader.parseErrors, at_eof)) {
         reader.parseErrors.push_back({1, "empty document: no header"});
         return reader;
     }
-    reader.headerCells = cells;
+    std::size_t begin = 0;
+    for (std::size_t end : ends) {
+        reader.headerCells.emplace_back(reader.cellText.data() + begin,
+                                        end - begin);
+        begin = end;
+    }
+    ends.clear();
+    cur.write = 0;
+    const std::size_t width = reader.headerCells.size();
 
     while (true) {
-        std::size_t record_line = line;
-        std::size_t errors_before = reader.parseErrors.size();
-        if (!scanRecord(is, line, cells, reader.parseErrors, at_eof) &&
-            cells.empty()) {
+        const std::size_t record_line = cur.line;
+        const std::size_t errors_before = reader.parseErrors.size();
+        const std::size_t first_cell = ends.size();
+        const std::size_t record_start = cur.write;
+        if (!scanRecord(cur, ends, reader.parseErrors, at_eof))
             break;
-        }
-        if (cells.size() == 1 && cells[0].empty())
-            continue;  // blank line (e.g. trailing newline)
-        if (!cells[0].empty() && cells[0][0] == '#') {
-            // Comment record; an exact integrity marker proves the
-            // file was written to completion.
-            if (cells.size() == 1 &&
-                trim(cells[0]) == kCsvIntegrityMarker) {
-                reader.sawMarker = true;
-            }
+        const std::size_t cells = ends.size() - first_cell;
+        const std::string_view lead(
+            reader.cellText.data() + record_start,
+            ends[first_cell] - record_start);
+        // Every path but an accepted row takes the record back out of
+        // the packed cell text.
+        auto drop = [&]() {
+            ends.resize(first_cell);
+            cur.write = record_start;
+        };
+        if (cells == 1 && lead.empty()) {
+            drop();  // blank line (e.g. trailing newline)
             continue;
         }
-        bool structural = reader.parseErrors.size() != errors_before;
+        if (!lead.empty() && lead[0] == '#') {
+            // Comment record; an exact integrity marker proves the
+            // file was written to completion.
+            if (cells == 1 && trimView(lead) == kCsvIntegrityMarker)
+                reader.sawMarker = true;
+            drop();
+            continue;
+        }
+        const bool structural =
+            reader.parseErrors.size() != errors_before;
         // A truncated row can only lose fields, never gain them.
-        bool short_row = cells.size() < reader.headerCells.size();
-        if (!structural && cells.size() != reader.headerCells.size()) {
+        const bool short_row = cells < width;
+        if (!structural && cells != width) {
             reader.parseErrors.push_back(
                 {record_line,
-                 detail::concatToString(
-                     "row has ", cells.size(), " fields, header has ",
-                     reader.headerCells.size())});
+                 detail::concatToString("row has ", cells,
+                                        " fields, header has ",
+                                        width)});
         }
-        if (structural || cells.size() != reader.headerCells.size()) {
+        if (structural || cells != width) {
             if (at_eof && (structural || short_row)) {
                 // Final record cut off mid-row — the signature of a
                 // torn append. Tolerate it: reclassify its
@@ -236,24 +321,47 @@ CsvReader::parse(std::istream &is)
                     reader.parseErrors.end());
                 reader.parseErrors.resize(errors_before);
             }
+            drop();
             continue;
         }
-        reader.rows.push_back(cells);
         reader.rowLines.push_back(record_line);
+        reader.lastRowUnterminated = at_eof;
     }
+    reader.cellText.resize(cur.write);
     return reader;
+}
+
+CsvReader
+CsvReader::parse(std::istream &is)
+{
+    return parseText(std::string(std::istreambuf_iterator<char>(is),
+                                 std::istreambuf_iterator<char>()));
 }
 
 CsvReader
 CsvReader::parseFile(const std::string &path)
 {
-    std::ifstream file(path);
-    if (!file) {
+    // Size the buffer from the file system, which also refuses
+    // directories and other non-regular files.
+    std::error_code size_error;
+    const std::uintmax_t size =
+        std::filesystem::file_size(path, size_error);
+    std::ifstream file(path, std::ios::binary);
+    if (size_error || !file) {
         CsvReader reader;
         reader.parseErrors.push_back({0, "cannot open " + path});
         return reader;
     }
-    return parse(file);
+    std::string text(static_cast<std::size_t>(size), '\0');
+    file.read(text.data(), static_cast<std::streamsize>(size));
+    // A file that shrank since it was sized yields what it still has.
+    text.resize(static_cast<std::size_t>(file.gcount()));
+    if (file.bad()) {
+        CsvReader reader;
+        reader.parseErrors.push_back({0, "cannot read " + path});
+        return reader;
+    }
+    return parseText(std::move(text));
 }
 
 std::vector<std::string>
@@ -267,12 +375,27 @@ CsvReader::errorStrings() const
     return out;
 }
 
-const std::vector<std::string> &
+std::vector<std::string_view>
 CsvReader::row(std::size_t index) const
 {
-    panic_if(index >= rows.size(), "csv row ", index,
-             " out of range (", rows.size(), " rows)");
-    return rows[index];
+    std::vector<std::string_view> cells;
+    cells.reserve(headerCells.size());
+    for (std::size_t col = 0; col < headerCells.size(); ++col)
+        cells.push_back(cell(index, col));
+    return cells;
+}
+
+std::string_view
+CsvReader::cell(std::size_t row_index, std::size_t column) const
+{
+    panic_if(row_index >= rowCount(), "csv row ", row_index,
+             " out of range (", rowCount(), " rows)");
+    panic_if(column >= headerCells.size(), "csv column ", column,
+             " out of range (", headerCells.size(), " columns)");
+    const std::size_t index = row_index * headerCells.size() + column;
+    const std::size_t begin = index == 0 ? 0 : cellEnds[index - 1];
+    return std::string_view(cellText.data() + begin,
+                            cellEnds[index] - begin);
 }
 
 std::size_t
@@ -285,12 +408,12 @@ CsvReader::columnIndex(const std::string &column) const
     return npos;
 }
 
-const std::string &
+std::string_view
 CsvReader::cell(std::size_t row_index, const std::string &column) const
 {
     std::size_t col = columnIndex(column);
     panic_if(col == npos, "csv column '", column, "' not present");
-    return row(row_index)[col];
+    return cell(row_index, col);
 }
 
 bool
@@ -308,28 +431,28 @@ CsvReader::requireColumns(const std::vector<std::string> &columns)
 }
 
 double
-CsvReader::numericCell(std::size_t row_index,
-                       const std::string &column, double fallback)
+CsvReader::numericCell(std::size_t row_index, std::size_t column,
+                       double fallback)
 {
-    const std::string &text = cell(row_index, column);
-    const std::string trimmed = trim(text);
-    if (!trimmed.empty()) {
-        std::size_t consumed = 0;
-        double value = fallback;
-        try {
-            value = std::stod(trimmed, &consumed);
-        } catch (const std::exception &) {
-            consumed = 0;
-        }
-        if (consumed == trimmed.size() && std::isfinite(value))
-            return value;
-    }
+    const std::string_view text = cell(row_index, column);
+    double value = fallback;
+    if (parseFiniteDouble(trimView(text), value))
+        return value;
     parseErrors.push_back(
         {rowLines[row_index],
-         detail::concatToString("column '", column,
+         detail::concatToString("column '", headerCells[column],
                                 "': not a finite number: '", text,
                                 "'")});
     return fallback;
+}
+
+double
+CsvReader::numericCell(std::size_t row_index,
+                       const std::string &column, double fallback)
+{
+    std::size_t col = columnIndex(column);
+    panic_if(col == npos, "csv column '", column, "' not present");
+    return numericCell(row_index, col, fallback);
 }
 
 } // namespace gemstone

@@ -18,6 +18,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.hh"
@@ -34,13 +35,15 @@ inline constexpr const char *kCsvIntegrityMarker =
     "#gemstone:complete";
 
 /**
- * Row-oriented CSV writer with RFC-4180 quoting.
+ * Row-oriented CSV writer with RFC-4180 quoting. Rows are rendered
+ * into one document buffer as they are added, so emitting the file
+ * is a single hand-over of that buffer.
  */
 class CsvWriter
 {
   public:
     /** Construct with a header row. */
-    explicit CsvWriter(std::vector<std::string> header);
+    explicit CsvWriter(const std::vector<std::string> &header);
 
     /** Append a row of string cells. */
     void addRow(const std::vector<std::string> &cells);
@@ -64,12 +67,16 @@ class CsvWriter
     Status writeFileAtomic(const std::string &path,
                            bool with_marker = true) const;
 
-    /** Quote a single CSV field if needed. */
-    static std::string quote(const std::string &field);
+    /**
+     * Append one field to @p out, quoted (with "" escapes) when it
+     * holds a separator, a quote or a newline.
+     */
+    static void appendQuoted(std::string &out, std::string_view field);
 
   private:
-    std::vector<std::string> headerCells;
-    std::vector<std::vector<std::string>> rows;
+    std::size_t width;
+    /** The rendered document: header line plus one line per row. */
+    std::string document;
 };
 
 /** One parse or validation problem, anchored to a 1-based line. */
@@ -88,6 +95,10 @@ struct CsvError
  * unterminated quoted field, or a row whose arity differs from the
  * header — are recorded as CsvError entries and the offending row is
  * dropped. The surviving rows are always rectangular.
+ *
+ * The whole document is scanned as one buffer, which the reader then
+ * owns: cells are unescaped in place and handed out as views into
+ * it, valid until the reader is destroyed or moved from.
  */
 class CsvReader
 {
@@ -97,6 +108,9 @@ class CsvReader
 
     /** Parse a file; a missing/unreadable file is a document error. */
     static CsvReader parseFile(const std::string &path);
+
+    /** Parse a document held in memory. */
+    static CsvReader parseText(std::string text);
 
     /**
      * True when the document parsed without any error. A truncated
@@ -125,6 +139,14 @@ class CsvReader
     }
 
     /**
+     * The last surviving row ended at end of input instead of at a
+     * newline. It parsed with full arity, but for a file whose
+     * writer ends every row with a newline that is still a torn
+     * write: its last cell may have lost characters.
+     */
+    bool finalRowUnterminated() const { return lastRowUnterminated; }
+
+    /**
      * The document ended with the integrity marker comment — it was
      * written to completion by an atomic writer, not torn mid-write.
      */
@@ -138,14 +160,18 @@ class CsvReader
         return headerCells;
     }
 
-    std::size_t rowCount() const { return rows.size(); }
+    std::size_t rowCount() const { return rowLines.size(); }
 
     /** Cells of one surviving row. */
-    const std::vector<std::string> &row(std::size_t index) const;
+    std::vector<std::string_view> row(std::size_t index) const;
+
+    /** Cell by row index and header position; panics on bad indices. */
+    std::string_view cell(std::size_t row_index,
+                          std::size_t column) const;
 
     /** Cell by row index and column name; panics on bad indices. */
-    const std::string &cell(std::size_t row_index,
-                            const std::string &column) const;
+    std::string_view cell(std::size_t row_index,
+                          const std::string &column) const;
 
     /** Header position of a column; npos when absent. */
     std::size_t columnIndex(const std::string &column) const;
@@ -157,9 +183,14 @@ class CsvReader
     bool requireColumns(const std::vector<std::string> &columns);
 
     /**
-     * Parse a cell as a finite double. A malformed or non-finite
-     * value records a row-level error and returns @p fallback.
+     * Parse a cell as a finite double (parseFiniteDouble() after
+     * trimming whitespace). A malformed or non-finite value records
+     * a row-level error and returns @p fallback.
      */
+    double numericCell(std::size_t row_index, std::size_t column,
+                       double fallback = 0.0);
+
+    /** numericCell() by column name. */
     double numericCell(std::size_t row_index, const std::string &column,
                        double fallback = 0.0);
 
@@ -167,12 +198,19 @@ class CsvReader
 
   private:
     std::vector<std::string> headerCells;
-    std::vector<std::vector<std::string>> rows;
+    /**
+     * The parsed document, compacted in place: the unescaped text of
+     * every surviving cell, back to back in row-major order.
+     */
+    std::string cellText;
+    /** End offset in cellText of each surviving cell. */
+    std::vector<std::size_t> cellEnds;
     /** Source line each surviving row started on (for errors). */
     std::vector<std::size_t> rowLines;
     std::vector<CsvError> parseErrors;
     /** Diagnostics for a tolerated truncated final record. */
     std::vector<CsvError> tailErrors;
+    bool lastRowUnterminated = false;
     bool sawMarker = false;
 };
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -31,6 +32,12 @@ split(const std::string &text, char delim)
 
 std::string
 trim(const std::string &text)
+{
+    return std::string(trimView(text));
+}
+
+std::string_view
+trimView(std::string_view text)
 {
     std::size_t begin = 0;
     std::size_t end = text.size();
@@ -89,12 +96,57 @@ formatDouble(double value, int decimals)
     return buffer;
 }
 
+void
+appendExactDouble(std::string &out, double value)
+{
+    // "-d.dddddddddddddddde-308" is 24 characters.
+    char buffer[32];
+    const std::to_chars_result written =
+        std::to_chars(buffer, buffer + sizeof(buffer), value,
+                      std::chars_format::general, 17);
+    out.append(buffer, written.ptr);
+}
+
 std::string
 formatExactDouble(double value)
 {
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    return buffer;
+    std::string out;
+    appendExactDouble(out, value);
+    return out;
+}
+
+bool
+parseFiniteDouble(std::string_view text, double &out)
+{
+    std::size_t i = 0;
+    while (i < text.size() &&
+           std::isspace(static_cast<unsigned char>(text[i]))) {
+        ++i;
+    }
+    // from_chars takes neither '+' nor the "0x" prefix, and parses
+    // hex only when told to: peel both off here.
+    bool negative = false;
+    if (i < text.size() && (text[i] == '+' || text[i] == '-'))
+        negative = text[i++] == '-';
+    std::chars_format format = std::chars_format::general;
+    if (text.size() - i >= 2 && text[i] == '0' &&
+        (text[i + 1] == 'x' || text[i + 1] == 'X')) {
+        format = std::chars_format::hex;
+        i += 2;
+    }
+    const char *first = text.data() + i;
+    const char *last = text.data() + text.size();
+    if (first == last || *first == '+' || *first == '-')
+        return false;
+    double value = 0.0;
+    const std::from_chars_result parsed =
+        std::from_chars(first, last, value, format);
+    if (parsed.ec != std::errc() || parsed.ptr != last ||
+        !std::isfinite(value)) {
+        return false;
+    }
+    out = negative ? -value : value;
+    return true;
 }
 
 std::string

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -15,7 +17,9 @@
 #include "gemstone/campaign.hh"
 #include "gemstone/runner.hh"
 #include "hwsim/faults.hh"
+#include "util/csv.hh"
 #include "util/logging.hh"
+#include "util/strutil.hh"
 
 using namespace gemstone;
 using namespace gemstone::core;
@@ -276,6 +280,72 @@ TEST_F(CampaignFlow, KilledCampaignResumesWithoutRemeasuring)
                         1e-8);
         }
     }
+}
+
+TEST_F(CampaignFlow, ResumeCarriesSubnormalsAndExtremesBitExactly)
+{
+    ScratchFile checkpoint("gs_campaign_extremes_test.csv");
+    CampaignConfig policy;
+    policy.checkpointPath = checkpoint.path;
+    CampaignConfig partial = policy;
+    partial.maxPoints = 1;
+    ExperimentRunner first = makeRunner();
+    CampaignResult before =
+        CampaignEngine(first, partial)
+            .runValidation(hwsim::CpuCluster::BigA15, {kFreq});
+    ASSERT_EQ(before.points.size(), 1u);
+    ASSERT_TRUE(before.points[0].converged());
+
+    // Rewrite the checkpointed point's doubles with the extremes of
+    // the double range, subnormals included.
+    const double subnormal = 4.94e-324;
+    const double half_min = DBL_MIN / 2.0;
+    CsvReader saved = CsvReader::parseFile(checkpoint.path);
+    ASSERT_TRUE(saved.ok());
+    ASSERT_EQ(saved.rowCount(), 1u);
+    std::vector<std::string> row;
+    for (std::string_view cell : saved.row(0))
+        row.emplace_back(cell);
+    auto set = [&](const std::string &column, const std::string &value) {
+        row[saved.columnIndex(column)] = value;
+    };
+    set("exec_seconds", formatExactDouble(subnormal));
+    set("power_watts", formatExactDouble(half_min));
+    set("temperature_c", formatExactDouble(-0.0));
+    set("voltage", formatExactDouble(DBL_MAX));
+    set("repeats", formatExactDouble(subnormal) + ";" +
+                       formatExactDouble(-0.0) + ";" +
+                       formatExactDouble(DBL_MAX));
+    set("pmc", "1:" + formatExactDouble(half_min) + ";2:" +
+                   formatExactDouble(subnormal));
+    CsvWriter rewritten(saved.header());
+    rewritten.addRow(row);
+    ASSERT_TRUE(rewritten.writeFileAtomic(checkpoint.path).ok());
+
+    ExperimentRunner second = makeRunner();
+    CampaignResult after =
+        CampaignEngine(second, policy)
+            .runValidation(hwsim::CpuCluster::BigA15, {kFreq});
+    ASSERT_EQ(after.resumedPoints, 1u);
+    const CampaignPoint &restored = after.points[0];
+    EXPECT_EQ(restored.workload, before.points[0].workload);
+    EXPECT_EQ(restored.status, PointStatus::Resumed);
+    auto bits = [](double value) {
+        std::uint64_t out = 0;
+        std::memcpy(&out, &value, sizeof out);
+        return out;
+    };
+    EXPECT_EQ(bits(restored.execSeconds), bits(subnormal));
+    EXPECT_EQ(bits(restored.powerWatts), bits(half_min));
+    EXPECT_EQ(bits(restored.temperatureC), bits(-0.0));
+    EXPECT_EQ(bits(restored.voltage), bits(DBL_MAX));
+    ASSERT_EQ(restored.repeatSeconds.size(), 3u);
+    EXPECT_EQ(bits(restored.repeatSeconds[0]), bits(subnormal));
+    EXPECT_EQ(bits(restored.repeatSeconds[1]), bits(-0.0));
+    EXPECT_EQ(bits(restored.repeatSeconds[2]), bits(DBL_MAX));
+    ASSERT_EQ(restored.pmc.size(), 2u);
+    EXPECT_EQ(bits(restored.pmc.at(1)), bits(half_min));
+    EXPECT_EQ(bits(restored.pmc.at(2)), bits(subnormal));
 }
 
 TEST_F(CampaignFlow, CorruptCheckpointIsReportedAndRerun)

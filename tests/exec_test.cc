@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -38,6 +42,22 @@ struct ScratchFile
     }
     ~ScratchFile() { std::filesystem::remove(path); }
 };
+
+bool
+bitEqual(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** The extremes of the double range that a store must carry. */
+ResultStore::Fields
+extremeFields()
+{
+    return {{"min_subnormal", 4.94e-324},
+            {"half_dbl_min", DBL_MIN / 2.0},
+            {"negative_zero", -0.0},
+            {"dbl_max", DBL_MAX}};
+}
 
 } // namespace
 
@@ -362,6 +382,78 @@ TEST(ResultStore, CsvPersistenceRoundTripsBitExactly)
     }
     ASSERT_TRUE(restored.lookup("point|b", out));
     EXPECT_EQ(out[0].second, 2.0000000000000004);
+}
+
+TEST(ResultStore, CsvPersistenceCarriesSubnormalsAndExtremes)
+{
+    // formatExactDouble writes subnormals, so the loader must take
+    // them back rather than reject the value and drop the entry.
+    ScratchFile file("gs_resultstore_extremes_test.csv");
+    ResultStore store(4);
+    store.insert("point|extremes", extremeFields());
+    ASSERT_TRUE(store.saveCsv(file.path).ok());
+
+    ResultStore restored(4);
+    ASSERT_EQ(restored.loadCsv(file.path), 1u);
+    ResultStore::Fields out;
+    ASSERT_TRUE(restored.lookup("point|extremes", out));
+    const ResultStore::Fields expected = extremeFields();
+    ASSERT_EQ(out.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(out[i].first, expected[i].first);
+        EXPECT_TRUE(bitEqual(out[i].second, expected[i].second))
+            << expected[i].first;
+    }
+}
+
+TEST(ResultStore, TruncationAtAnyOffsetNeverLoadsAWrongEntry)
+{
+    // Every value has digits to lose, so a cut inside a number
+    // changes it ("1.5" -> "1") while still parsing.
+    ResultStore store(8);
+    store.insert("point|a", {{"x", 1.5}, {"y", 2.25}, {"z", 1e-7}});
+    store.insert("point|b", {{"x", 31.125}, {"y", -0.5}});
+    store.insert("point|c", {{"only", 123456.75}});
+    ScratchFile file("gs_resultstore_truncate_test.csv");
+    ASSERT_TRUE(store.saveCsv(file.path).ok());
+    std::ifstream in(file.path, std::ios::binary);
+    const std::string document((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+    in.close();
+    ASSERT_EQ(ResultStore(8).loadCsv(file.path), 3u);
+
+    const std::vector<std::string> keys = {"point|a", "point|b",
+                                           "point|c"};
+    std::size_t cuts = 0;
+    for (std::size_t cut = 1; cut < document.size(); ++cut) {
+        // A cut exactly at a row boundary of a marker-less file is
+        // indistinguishable from a complete file: out of scope.
+        if (document[cut - 1] == '\n')
+            continue;
+        ++cuts;
+        {
+            std::ofstream out(file.path,
+                              std::ios::binary | std::ios::trunc);
+            out << document.substr(0, cut);
+        }
+        ResultStore torn(8);
+        torn.loadCsv(file.path);
+        for (const std::string &key : keys) {
+            ResultStore::Fields loaded;
+            if (!torn.lookup(key, loaded))
+                continue;
+            ResultStore::Fields saved;
+            ASSERT_TRUE(store.lookup(key, saved));
+            ASSERT_EQ(loaded.size(), saved.size())
+                << "partial entry " << key << " at cut " << cut;
+            for (std::size_t i = 0; i < saved.size(); ++i) {
+                EXPECT_EQ(loaded[i].first, saved[i].first);
+                EXPECT_TRUE(bitEqual(loaded[i].second, saved[i].second))
+                    << "wrong value for " << key << " at cut " << cut;
+            }
+        }
+    }
+    EXPECT_GT(cuts, 50u);
 }
 
 TEST(ResultStore, MissingFileLoadsNothing)

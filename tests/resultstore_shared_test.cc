@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -129,6 +130,32 @@ TEST(SharedTier, ContainsSeesLateArrivalsWithoutCounting)
     ResultStore::Fields out;
     ASSERT_TRUE(b.lookup("late|key", out));
     EXPECT_TRUE(bitEqual(out[1].second, 5.0 + 1.0 / 3.0));
+}
+
+TEST(SharedTier, PublishAbsorbCarriesSubnormalsAndExtremes)
+{
+    // The tier must absorb the subnormals formatExactDouble writes
+    // rather than reject the value and drop the entry.
+    ScratchFile file("gs_tier_extremes.csv");
+    const ResultStore::Fields extremes = {{"min_subnormal", 4.94e-324},
+                                          {"half_dbl_min", DBL_MIN / 2.0},
+                                          {"negative_zero", -0.0},
+                                          {"dbl_max", DBL_MAX}};
+    ResultStore a;
+    ResultStore b;
+    ASSERT_TRUE(a.attachSharedTier(file.path).ok());
+    ASSERT_TRUE(b.attachSharedTier(file.path).ok());
+    a.insert("extreme|key", extremes);
+
+    ResultStore::Fields out;
+    ASSERT_TRUE(b.lookup("extreme|key", out));
+    EXPECT_EQ(b.stats().sharedHits, 1u);
+    ASSERT_EQ(out.size(), extremes.size());
+    for (std::size_t i = 0; i < extremes.size(); ++i) {
+        EXPECT_EQ(out[i].first, extremes[i].first);
+        EXPECT_TRUE(bitEqual(out[i].second, extremes[i].second))
+            << extremes[i].first;
+    }
 }
 
 TEST(SharedTier, PublishDeduplicatesAcrossStores)

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -287,6 +290,142 @@ TEST(Strutil, FormatPercent)
     EXPECT_EQ(formatPercent(0.033, 1), "3.3%");
 }
 
+namespace {
+
+/** printf's "%.17g", the historical exact-double format. */
+std::string
+printfExact(double value)
+{
+    char buffer[64];
+    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+    return buffer;
+}
+
+} // namespace
+
+TEST(Strutil, FormatExactDoubleMatchesPrintfOnEdgeValues)
+{
+    const double values[] = {0.0,
+                             -0.0,
+                             4.94e-324,
+                             -4.94e-324,
+                             DBL_MIN / 2.0,
+                             DBL_MIN,
+                             DBL_MAX,
+                             -DBL_MAX,
+                             1e-5,
+                             1e-4,
+                             1e15,
+                             1e16,
+                             1e17,
+                             1e21,
+                             1.0,
+                             -7.0,
+                             123456789.0,
+                             9007199254740993.0,
+                             0.1,
+                             1.0 / 3.0,
+                             2.0000000000000004};
+    for (double value : values)
+        EXPECT_EQ(formatExactDouble(value), printfExact(value));
+}
+
+TEST(Strutil, FormatExactDoubleMatchesPrintfOnRandomBits)
+{
+    Rng rng(0xF0C4A75ULL);
+    std::size_t checked = 0;
+    for (int i = 0; i < 100000; ++i) {
+        const std::uint64_t bits = rng.next();
+        double value = 0.0;
+        std::memcpy(&value, &bits, sizeof value);
+        if (!std::isfinite(value))
+            continue;
+        ++checked;
+        const std::string text = formatExactDouble(value);
+        ASSERT_EQ(text, printfExact(value)) << "bits " << bits;
+        double back = 1.0;
+        ASSERT_TRUE(parseFiniteDouble(text, back)) << text;
+        ASSERT_EQ(std::memcmp(&back, &value, sizeof value), 0) << text;
+    }
+    EXPECT_GT(checked, 99000u);
+}
+
+TEST(Strutil, AppendExactDoubleAppends)
+{
+    std::string out = "v=";
+    appendExactDouble(out, 0.5);
+    appendExactDouble(out, -2.0);
+    EXPECT_EQ(out, "v=0.5-2");
+}
+
+TEST(Strutil, ParseFiniteDoubleAcceptSet)
+{
+    struct Case
+    {
+        const char *text;
+        bool accepted;
+        double value;
+    };
+    const Case cases[] = {
+        // Plain decimal forms.
+        {"1.25", true, 1.25},
+        {"-0.5", true, -0.5},
+        {"+3", true, 3.0},
+        {"1.", true, 1.0},
+        {".5", true, 0.5},
+        {"1e5", true, 1e5},
+        {"1E-5", true, 1e-5},
+        {"0x10", true, 16.0},
+        {"-0X1p-2", true, -0.25},
+        // Leading whitespace is skipped, trailing is not.
+        {"  7", true, 7.0},
+        {"\t\n7", true, 7.0},
+        {"7 ", false, 0.0},
+        {" ", false, 0.0},
+        // Signs: at most one, never alone.
+        {"+-1", false, 0.0},
+        {"--1", false, 0.0},
+        {"-", false, 0.0},
+        {"- 1", false, 0.0},
+        // Empty and junk.
+        {"", false, 0.0},
+        {".", false, 0.0},
+        {"1e", false, 0.0},
+        {"1.5x", false, 0.0},
+        {"0x", false, 0.0},
+        {"abc", false, 0.0},
+        // Non-finite spellings.
+        {"inf", false, 0.0},
+        {"-infinity", false, 0.0},
+        {"nan", false, 0.0},
+        {"NaN(1)", false, 0.0},
+        // Overflow and underflow to zero.
+        {"1e400", false, 0.0},
+        {"-1.7976931348623159e308", false, 0.0},
+        {"1e-400", false, 0.0},
+        // Range edges that are representable, subnormals included.
+        {"1.7976931348623157e308", true, DBL_MAX},
+        {"2.2250738585072014e-308", true, DBL_MIN},
+        {"1.1125369292536007e-308", true, DBL_MIN / 2.0},
+        {"4.9406564584124654e-324", true, 4.94e-324},
+        {"-4.9406564584124654e-324", true, -4.94e-324},
+    };
+    for (const Case &c : cases) {
+        double value = 42.0;
+        EXPECT_EQ(parseFiniteDouble(c.text, value), c.accepted)
+            << "'" << c.text << "'";
+        if (c.accepted) {
+            EXPECT_EQ(std::memcmp(&value, &c.value, sizeof value), 0)
+                << "'" << c.text << "'";
+        } else {
+            EXPECT_EQ(value, 42.0) << "'" << c.text << "' wrote out";
+        }
+    }
+    double zero = 1.0;
+    ASSERT_TRUE(parseFiniteDouble("-0", zero));
+    EXPECT_TRUE(std::signbit(zero));
+}
+
 // ---------------------------------------------------------------------
 // TextTable
 // ---------------------------------------------------------------------
@@ -335,10 +474,15 @@ TEST(Csv, BasicDocument)
 
 TEST(Csv, QuotesSpecialCharacters)
 {
-    EXPECT_EQ(CsvWriter::quote("plain"), "plain");
-    EXPECT_EQ(CsvWriter::quote("a,b"), "\"a,b\"");
-    EXPECT_EQ(CsvWriter::quote("say \"hi\""), "\"say \"\"hi\"\"\"");
-    EXPECT_EQ(CsvWriter::quote("line\nbreak"), "\"line\nbreak\"");
+    auto quote = [](const std::string &field) {
+        std::string out = "<";
+        CsvWriter::appendQuoted(out, field);
+        return out;
+    };
+    EXPECT_EQ(quote("plain"), "<plain");
+    EXPECT_EQ(quote("a,b"), "<\"a,b\"");
+    EXPECT_EQ(quote("say \"hi\""), "<\"say \"\"hi\"\"\"");
+    EXPECT_EQ(quote("line\nbreak"), "<\"line\nbreak\"");
 }
 
 TEST(Csv, NumericRow)
@@ -396,6 +540,45 @@ TEST(CsvReader, HandlesCrlfAndMissingFinalNewline)
     EXPECT_TRUE(reader.ok());
     ASSERT_EQ(reader.rowCount(), 2u);
     EXPECT_EQ(reader.cell(1, "b"), "4");
+}
+
+TEST(CsvReader, ReportsAnUnterminatedFinalRow)
+{
+    // Full arity but no trailing newline: accepted, and flagged so a
+    // caller whose writer always ends rows with '\n' can call it torn.
+    std::istringstream cut("a,b\n1,2\n3,4");
+    CsvReader torn = CsvReader::parse(cut);
+    EXPECT_TRUE(torn.ok());
+    EXPECT_FALSE(torn.hasTruncatedTail());
+    EXPECT_TRUE(torn.finalRowUnterminated());
+    EXPECT_EQ(torn.rowCount(), 2u);
+
+    std::istringstream whole("a,b\n1,2\n3,4\n");
+    EXPECT_FALSE(CsvReader::parse(whole).finalRowUnterminated());
+
+    // A trailing comment or a dropped partial record is not a row.
+    std::istringstream comment("a,b\n1,2\n#note");
+    EXPECT_FALSE(CsvReader::parse(comment).finalRowUnterminated());
+    std::istringstream partial("a,b\n1,2\n3");
+    CsvReader dropped = CsvReader::parse(partial);
+    EXPECT_TRUE(dropped.hasTruncatedTail());
+    EXPECT_FALSE(dropped.finalRowUnterminated());
+}
+
+TEST(CsvReader, UnescapesQuotedCellsInPlace)
+{
+    // Quoted cells shrink as their quotes go; every later cell must
+    // still come back intact from the compacted buffer.
+    CsvReader reader = CsvReader::parseText(
+        "k,v\n\"a\"\"b\",\"x,\ny\"\nplain,\"\"\n\"\"\"\"\"\",tail\n");
+    ASSERT_TRUE(reader.ok());
+    ASSERT_EQ(reader.rowCount(), 3u);
+    EXPECT_EQ(reader.cell(0, "k"), "a\"b");
+    EXPECT_EQ(reader.cell(0, "v"), "x,\ny");
+    EXPECT_EQ(reader.cell(1, "k"), "plain");
+    EXPECT_EQ(reader.cell(1, "v"), "");
+    EXPECT_EQ(reader.cell(2, "k"), "\"\"");
+    EXPECT_EQ(reader.cell(2, std::size_t{1}), "tail");
 }
 
 TEST(CsvReader, ArityMismatchIsRowLevelError)
