@@ -1,6 +1,7 @@
 /**
  * @file
- * P6 — result-store persistence: ResultStore::saveCsv / loadCsv.
+ * P6 — result-store persistence (ResultStore::saveCsv / loadCsv) and
+ * store hits (ExperimentRunner::measureHw / runG5 on a warm store).
  *
  * Builds a deterministic store shaped like the warm store of a
  * default `gemstone_tool --cache` run: 260 hardware entries of 152
@@ -15,14 +16,22 @@
  * includes the tmp + fsync + rename) and counts heap allocations per
  * row with MallocTally.
  *
+ * A second case times store hits, the whole cost of a point in a
+ * warm daemon campaign: it fills a store with one default campaign
+ * (serve::runCampaign with a default CampaignSpec), then replays
+ * every point through a fresh runner, measureHw for each attempt the
+ * campaign's quorum measured and runG5 once, all of them hits. It
+ * reports hits/s and heap allocations per hw hit and per g5 hit.
+ *
  * Emits BENCH_store_io.json in the shared benchjson.hh shape. With
  * --check <baseline.json> the bench fails when either direction's
- * allocs_per_row exceeds the baseline's. Allocation counts are
- * deterministic and host-speed independent; the MB/s figures are
- * informational only, since a shared runner's disk and CPU make a
- * timing gate flaky. allocs_per_row is rounded to 4 decimals, so a
- * few constant-cost allocations of a different standard library do
- * not trip the gate while one allocation more per entry does.
+ * allocs_per_row, or either hit kind's allocs_per_hit, exceeds the
+ * baseline's. Allocation counts are deterministic and host-speed
+ * independent; the MB/s and hits/s figures are informational only,
+ * since a shared runner's disk and CPU make a timing gate flaky. Both
+ * allocation ratios are rounded to 4 decimals, so a few constant-cost
+ * allocations of a different standard library do not trip the gate
+ * while one allocation more per entry or per hit does.
  *
  * Usage:
  *   perf_store_io [--out FILE] [--repeats N] [--check BASELINE]
@@ -45,11 +54,14 @@
 
 #include "benchjson.hh"
 #include "exec/resultstore.hh"
+#include "gemstone/runner.hh"
+#include "serve/service.hh"
 #include "util/arena.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/strutil.hh"
 #include "util/table.hh"
+#include "workload/workload.hh"
 
 using namespace gemstone;
 
@@ -163,6 +175,76 @@ struct OpResult
     }
 };
 
+/** Store hits of one kind: best time and allocations per hit. */
+struct HitResult
+{
+    std::string op;
+    std::size_t hits = 0;
+    double bestSeconds = 1e300;
+    std::uint64_t allocs = 0;
+
+    double allocsPerHit() const
+    {
+        return static_cast<double>(allocs) /
+            static_cast<double>(hits);
+    }
+};
+
+/**
+ * Fill a store with one default campaign, then time and count the
+ * store hits of replaying it: every point's quorum of measureHw
+ * attempts ("hw_hit") and its runG5 ("g5_hit").
+ */
+std::vector<HitResult>
+timeStoreHits(unsigned repeats)
+{
+    const serve::CampaignSpec spec;
+    auto store = std::make_shared<exec::ResultStore>();
+    const serve::CampaignOutcome filled =
+        serve::runCampaign(spec, store, nullptr, CancellationToken());
+    fatal_if(filled.outcome != serve::RequestOutcome::Ok,
+             "filling campaign failed: ", filled.error);
+
+    core::ExperimentRunner runner(serve::runnerConfigFor(spec));
+    runner.attachResultStore(store);
+    const std::vector<double> &freqs =
+        core::ExperimentRunner::frequenciesFor(spec.cluster);
+    const std::vector<const workload::Workload *> works =
+        workload::Suite::validationSet();
+
+    HitResult hw{"hw_hit", works.size() * freqs.size() * spec.quorum};
+    HitResult g5{"g5_hit", works.size() * freqs.size()};
+    const exec::ResultStore::Stats filled_stats = store->stats();
+    for (unsigned rep = 0; rep < repeats; ++rep) {
+        MallocTallySnapshot before = mallocTally();
+        auto start = std::chrono::steady_clock::now();
+        for (const workload::Workload *work : works) {
+            for (double freq : freqs) {
+                for (unsigned attempt = 0; attempt < spec.quorum;
+                     ++attempt) {
+                    runner.measureHw(*work, spec.cluster, freq, attempt);
+                }
+            }
+        }
+        hw.bestSeconds = std::min(hw.bestSeconds, secondsSince(start));
+        hw.allocs = mallocTally().allocs - before.allocs;
+
+        before = mallocTally();
+        start = std::chrono::steady_clock::now();
+        for (const workload::Workload *work : works) {
+            for (double freq : freqs)
+                runner.runG5(*work, spec.cluster, freq);
+        }
+        g5.bestSeconds = std::min(g5.bestSeconds, secondsSince(start));
+        g5.allocs = mallocTally().allocs - before.allocs;
+    }
+    // A miss or an undecodable hit would simulate and insert.
+    fatal_if(store->stats().misses != filled_stats.misses ||
+                 store->stats().insertions != filled_stats.insertions,
+             "a replayed point was not a store hit");
+    return {hw, g5};
+}
+
 /** Round to the 4 decimals the JSON carries, so checks compare like
  *  with like. */
 double
@@ -219,9 +301,10 @@ main(int argc, char **argv)
         fatal_if(reloaded.loadCsv(first_path) != entries.size(),
                  "reload did not restore every entry");
         for (const EntrySpec &entry : entries) {
-            exec::ResultStore::Fields out;
-            fatal_if(!reloaded.lookup(entry.key, out), "entry ",
+            exec::ResultStore::Payload payload;
+            fatal_if(!reloaded.lookup(entry.key, payload), "entry ",
                      entry.key, " missing after reload");
+            const exec::ResultStore::Fields &out = *payload;
             fatal_if(out.size() != entry.fields.size(), "entry ",
                      entry.key, " lost fields");
             for (std::size_t f = 0; f < out.size(); ++f) {
@@ -259,6 +342,7 @@ main(int argc, char **argv)
         save.allocs = mallocTally().allocs - before_save.allocs;
     }
     std::filesystem::remove_all(dir);
+    const std::vector<HitResult> hits = timeStoreHits(repeats);
 
     const double megabytes = static_cast<double>(first.size()) / 1e6;
     std::cout << "P6: result-store persistence, " << entries.size()
@@ -266,8 +350,8 @@ main(int argc, char **argv)
               << formatDouble(megabytes, 2) << " MB (best of "
               << repeats << ")\n";
     TextTable table({"op", "ms", "MB/s", "allocs", "allocs/row"});
-    benchjson::BenchJson json("store_io",
-                              "MB/s and heap allocations per row");
+    benchjson::BenchJson json(
+        "store_io", "MB/s, hits/s and heap allocations per row and hit");
     json.setScalar("rows", std::to_string(rows));
     json.setScalar("bytes", std::to_string(first.size()));
     json.setScalar("round_trip_identical", true);
@@ -287,6 +371,28 @@ main(int argc, char **argv)
             .num("allocs_per_row", r->allocsPerRow(rows), 4);
     }
     table.print(std::cout);
+
+    std::cout << "\nwarm store hits of one default campaign (best of "
+              << repeats << ")\n";
+    TextTable hit_table({"op", "hits", "ms", "hits/s", "allocs/hit"});
+    for (const HitResult &r : hits) {
+        const double hits_per_s =
+            static_cast<double>(r.hits) / r.bestSeconds;
+        hit_table.addRow({r.op, std::to_string(r.hits),
+                          formatDouble(r.bestSeconds * 1e3, 2),
+                          formatDouble(hits_per_s, 0),
+                          tally_active
+                              ? formatDouble(r.allocsPerHit(), 1)
+                              : "n/a"});
+        json.addResult()
+            .str("op", r.op)
+            .integer("hits", r.hits)
+            .num("ms", r.bestSeconds * 1e3, 3)
+            .num("hits_per_s", hits_per_s, 1)
+            .integer("allocs", r.allocs)
+            .num("allocs_per_hit", r.allocsPerHit(), 4);
+    }
+    hit_table.print(std::cout);
     json.write(out_path);
     std::cout << "wrote " << out_path << "\n";
 
@@ -296,25 +402,31 @@ main(int argc, char **argv)
                          "compiled out of sanitizer builds\n";
             return 0;
         }
-        const std::map<std::string, double> baseline =
+        const std::map<std::string, double> per_row =
             benchjson::loadBaseline(baseline_path, {"op"},
                                     "allocs_per_row");
-        fatal_if(baseline.empty(), "no results found in ",
-                 baseline_path);
+        const std::map<std::string, double> per_hit =
+            benchjson::loadBaseline(baseline_path, {"op"},
+                                    "allocs_per_hit");
+        fatal_if(per_row.empty() && per_hit.empty(),
+                 "no results found in ", baseline_path);
         bool regressed = false;
-        for (const OpResult *r : {&load, &save}) {
-            auto it = baseline.find(r->op);
-            if (it == baseline.end())
-                continue;
-            const double now = fourDecimals(r->allocsPerRow(rows));
-            if (now > it->second) {
-                std::cerr << "REGRESSION: " << r->op
-                          << " allocs/row " << formatDouble(now, 4)
-                          << " above baseline "
-                          << formatDouble(it->second, 4) << "\n";
-                regressed = true;
-            }
-        }
+        auto gate = [&](const std::map<std::string, double> &baseline,
+                        const std::string &op, const std::string &unit,
+                        double now) {
+            auto it = baseline.find(op);
+            if (it == baseline.end() || fourDecimals(now) <= it->second)
+                return;
+            std::cerr << "REGRESSION: " << op << " " << unit << " "
+                      << formatDouble(fourDecimals(now), 4)
+                      << " above baseline "
+                      << formatDouble(it->second, 4) << "\n";
+            regressed = true;
+        };
+        for (const OpResult *r : {&load, &save})
+            gate(per_row, r->op, "allocs/row", r->allocsPerRow(rows));
+        for (const HitResult &r : hits)
+            gate(per_hit, r.op, "allocs/hit", r.allocsPerHit());
         if (regressed)
             return 1;
         std::cout << "allocation gate passed against "

@@ -49,8 +49,8 @@ printQuality(const std::string &label, const PowerModelQuality &q,
 int
 main(int argc, char **argv)
 {
-    // Campaign --jobs convention: 0 means one worker per core. Event
-    // selection and the per-frequency fits are identical at any jobs
+    // Campaign --jobs convention: 0 means one worker per core. The
+    // per-frequency fits and validation are identical at any jobs
     // count.
     unsigned jobs = exec::ThreadPool::defaultThreadCount();
     for (int i = 1; i < argc; ++i) {
@@ -98,7 +98,6 @@ main(int argc, char **argv)
 
     SelectionConfig published_sel;
     published_sel.maxEvents = 7;
-    published_sel.jobs = jobs;
     SelectionResult published_events =
         other_builder.selectEvents(published_sel);
     PowerModel published =
@@ -118,7 +117,6 @@ main(int argc, char **argv)
     // 3. Fresh unrestricted selection on this board (paper: 4.0%).
     SelectionConfig unrestricted;
     unrestricted.maxEvents = 7;
-    unrestricted.jobs = jobs;
     SelectionResult fresh = big_builder.selectEvents(unrestricted);
     PowerModel fresh_model = big_builder.build(fresh.events, jobs);
     printQuality("unrestricted selection (paper 4.0%)",
@@ -132,7 +130,6 @@ main(int argc, char **argv)
     SelectionConfig compatible;
     compatible.maxEvents = 7;
     compatible.requireG5Equivalent = true;
-    compatible.jobs = jobs;
     for (int id : powmon::EventSpecTable::knownBadForG5())
         compatible.excluded.insert(id);
     compatible.composites.push_back(

@@ -63,7 +63,7 @@ ResultStore::findLocked(std::uint64_t hash, bool &absorbed)
 }
 
 bool
-ResultStore::lookup(const std::string &key, Fields &out)
+ResultStore::lookup(const std::string &key, Payload &out)
 {
     std::uint64_t hash = fnv1a(key);
     std::lock_guard<std::mutex> lock(storeMutex);
@@ -86,7 +86,7 @@ ResultStore::lookup(const std::string &key, Fields &out)
     ++counters.hits;
     lruOrder.splice(lruOrder.begin(), lruOrder,
                     it->second.lruPosition);
-    out = it->second.fields;
+    out = it->second.payload;
     return true;
 }
 
@@ -101,17 +101,19 @@ ResultStore::contains(const std::string &key)
 }
 
 void
-ResultStore::insertLocked(const std::string &key, Fields fields)
+ResultStore::insertLocked(std::string key, Payload payload)
 {
     std::uint64_t hash = fnv1a(key);
     auto it = entries.find(hash);
     if (it != entries.end()) {
-        // Same key: refresh; colliding key: last writer wins.
+        // Same key: refresh; colliding key: last writer wins. Readers
+        // holding the old payload keep it: it is replaced, not
+        // mutated.
         if (it->second.key != key) {
             ++counters.collisions;
-            it->second.key = key;
+            it->second.key = std::move(key);
         }
-        it->second.fields = std::move(fields);
+        it->second.payload = std::move(payload);
         lruOrder.splice(lruOrder.begin(), lruOrder,
                         it->second.lruPosition);
         return;
@@ -122,8 +124,8 @@ ResultStore::insertLocked(const std::string &key, Fields fields)
         ++counters.evictions;
     }
     lruOrder.push_front(hash);
-    entries.emplace(hash,
-                    Entry{key, std::move(fields), lruOrder.begin()});
+    entries.emplace(hash, Entry{std::move(key), std::move(payload),
+                                lruOrder.begin()});
     ++counters.insertions;
 }
 
@@ -134,24 +136,25 @@ ResultStore::absorbLocked(const std::string &key, Fields fields)
     // keep the insertions counter meaning "results computed by this
     // process" and keep them out of the journal.
     const std::uint64_t insertions_before = counters.insertions;
-    insertLocked(key, std::move(fields));
+    insertLocked(key, std::make_shared<const Fields>(std::move(fields)));
     counters.insertions = insertions_before;
 }
 
 void
 ResultStore::insert(const std::string &key, Fields fields)
 {
+    Payload payload = std::make_shared<const Fields>(std::move(fields));
     std::lock_guard<std::mutex> lock(storeMutex);
     if (journalEnabled)
-        journal.emplace_back(key, fields);
+        journal.emplace_back(key, payload);
     if (tier != nullptr &&
         tierOwnerPid == static_cast<int>(::getpid())) {
-        tier->publish(key, fields,
+        tier->publish(key, *payload,
                       [this](const std::string &k, Fields f) {
                           absorbLocked(k, std::move(f));
                       });
     }
-    insertLocked(key, std::move(fields));
+    insertLocked(key, std::move(payload));
 }
 
 std::size_t
@@ -240,7 +243,8 @@ ResultStore::loadCsv(const std::string &path)
             fields.emplace_back(reader.cell(i, field_col), value);
         }
         if (!key.empty() && !bad) {
-            insertLocked(std::string(key), std::move(fields));
+            insertLocked(std::string(key),
+                         std::make_shared<const Fields>(std::move(fields)));
             ++loaded;
         }
         first = last;
@@ -280,7 +284,7 @@ ResultStore::saveCsv(const std::string &path) const
     std::size_t bytes = 0;
     for (const auto &[hash, entry] : entries) {
         sorted.push_back(&entry);
-        for (const auto &field : entry.fields)
+        for (const auto &field : *entry.payload)
             bytes += entry.key.size() + field.first.size() + 27;
     }
     std::sort(sorted.begin(), sorted.end(),
@@ -291,7 +295,7 @@ ResultStore::saveCsv(const std::string &path) const
     std::string document = join(kStoreColumns, ",") + "\n";
     document.reserve(document.size() + bytes);
     for (const Entry *entry : sorted)
-        appendCsvRows(document, entry->key, entry->fields);
+        appendCsvRows(document, entry->key, *entry->payload);
     return atomicWriteFile(path, document, kCsvIntegrityMarker);
 }
 
@@ -331,7 +335,10 @@ ResultStore::takeJournal()
 {
     std::lock_guard<std::mutex> lock(storeMutex);
     journalEnabled = false;
-    auto drained = std::move(journal);
+    std::vector<std::pair<std::string, Fields>> drained;
+    drained.reserve(journal.size());
+    for (auto &[key, payload] : journal)
+        drained.emplace_back(std::move(key), *payload);
     journal.clear();
     return drained;
 }

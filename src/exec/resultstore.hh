@@ -19,9 +19,17 @@
  * included), which is what makes a warm-cache campaign
  * byte-identical to a cold one.
  *
+ * Payloads are immutable and shared: an entry holds a
+ * std::shared_ptr<const Fields> built once when the entry is
+ * inserted, and a hit hands out another reference to it rather than
+ * a copy. A reader's payload therefore stays valid and unchanged
+ * after its key is overwritten or evicted.
+ *
  * Thread-safety contract: all public members are safe to call from
  * any thread; a single mutex serialises the table, the LRU list and
- * the counters.
+ * the counters. Under it a hit is only the hash probe, the key
+ * compare, the LRU splice and a reference-count increment; callers
+ * decode the payload after the lock is released.
  */
 
 #ifndef GEMSTONE_EXEC_RESULTSTORE_HH
@@ -48,6 +56,9 @@ class ResultStore
     /** Ordered (name, value) payload of one memoised result. */
     using Fields = std::vector<std::pair<std::string, double>>;
 
+    /** A shared, immutable payload as held by the store. */
+    using Payload = std::shared_ptr<const Fields>;
+
     /** Hit/miss accounting. */
     struct Stats
     {
@@ -71,14 +82,14 @@ class ResultStore
 
     /**
      * Look up a key; on a hit the entry becomes most-recently-used
-     * and @p out receives the payload. Counts a hit or miss either
+     * and @p out shares its payload. Counts a hit or miss either
      * way. A hash collision with a different resident key counts as
      * a miss (and a collision). With a shared tier attached, a miss
      * falls through to the tier: entries other processes published
      * since the last look are absorbed, and a key found that way
      * counts as a hit (and a sharedHit).
      */
-    bool lookup(const std::string &key, Fields &out);
+    bool lookup(const std::string &key, Payload &out);
 
     /**
      * True when lookup() of @p key would hit. Stats-neutral: no hit,
@@ -167,11 +178,11 @@ class ResultStore
     struct Entry
     {
         std::string key;
-        Fields fields;
+        Payload payload;
         std::list<std::uint64_t>::iterator lruPosition;
     };
 
-    void insertLocked(const std::string &key, Fields fields);
+    void insertLocked(std::string key, Payload payload);
 
     /**
      * Find the resident entry at @p hash, falling through to the
@@ -196,7 +207,7 @@ class ResultStore
     int tierOwnerPid = -1;
 
     bool journalEnabled = false;
-    std::vector<std::pair<std::string, Fields>> journal;
+    std::vector<std::pair<std::string, Payload>> journal;
 };
 
 } // namespace gemstone::exec

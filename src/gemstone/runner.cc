@@ -15,8 +15,10 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "exec/procpool.hh"
 #include "util/logging.hh"
@@ -52,6 +54,25 @@ encodeHwMeasurement(const hwsim::HwMeasurement &m)
     return fields;
 }
 
+/**
+ * Parse a PMC id: the whole of @p digits must be a decimal int, so a
+ * bit-rotted name ("pmc_x17", "pmc_17x", "pmc_") is rejected rather
+ * than thrown on or aliased to another counter.
+ */
+bool
+parsePmcId(std::string_view digits, int &id)
+{
+    const char *end = digits.data() + digits.size();
+    auto [ptr, ec] = std::from_chars(digits.data(), end, id);
+    return ec == std::errc() && ptr == end;
+}
+
+/**
+ * Decode a hardware measurement in one pass over the fields. Accept
+ * set: a duplicate name is last-wins, an unknown "gt_" name (or a
+ * count its field cannot hold) is ignored, and an unknown top-level
+ * name or a malformed "pmc_" id makes the entry undecodable (false).
+ */
 bool
 decodeHwMeasurement(const exec::ResultStore::Fields &fields,
                     const std::string &workload,
@@ -62,9 +83,20 @@ decodeHwMeasurement(const exec::ResultStore::Fields &fields,
     m.workload = workload;
     m.cluster = cluster;
     m.freqMhz = freq_mhz;
-    std::map<std::string, double> ground_truth;
-    for (const auto &[name, value] : fields) {
-        if (name == "voltage") {
+    for (const auto &[field_name, value] : fields) {
+        const std::string_view name = field_name;
+        if (name.starts_with("gt_")) {
+            m.groundTruth.setField(name.substr(3), value);
+        } else if (name.starts_with("pmc_")) {
+            // Encoded in ascending id order, so the end hint is exact.
+            int id = 0;
+            if (!parsePmcId(name.substr(4), id))
+                return false;
+            m.pmc.insert_or_assign(m.pmc.end(), id, value);
+        } else if (name.starts_with("repeat_")) {
+            // Encoded in index order; Fields preserves it.
+            m.repeatSeconds.push_back(value);
+        } else if (name == "voltage") {
             m.voltage = value;
         } else if (name == "exec_seconds") {
             m.execSeconds = value;
@@ -74,18 +106,10 @@ decodeHwMeasurement(const exec::ResultStore::Fields &fields,
             m.temperatureC = value;
         } else if (name == "throttled") {
             m.throttled = value != 0.0;
-        } else if (name.rfind("repeat_", 0) == 0) {
-            // Encoded in index order; Fields preserves it.
-            m.repeatSeconds.push_back(value);
-        } else if (name.rfind("pmc_", 0) == 0) {
-            m.pmc[std::stoi(name.substr(4))] = value;
-        } else if (name.rfind("gt_", 0) == 0) {
-            ground_truth[name.substr(3)] = value;
         } else {
             return false;
         }
     }
-    m.groundTruth.fromMap(ground_truth);
     return true;
 }
 
@@ -101,6 +125,7 @@ encodeG5Stats(const g5::G5Stats &stats)
     return fields;
 }
 
+/** Decode g5 statistics; same accept set as decodeHwMeasurement. */
 bool
 decodeG5Stats(const exec::ResultStore::Fields &fields,
               const std::string &workload, g5::G5Model model,
@@ -111,19 +136,21 @@ decodeG5Stats(const exec::ResultStore::Fields &fields,
     stats.model = model;
     stats.version = version;
     stats.freqMhz = freq_mhz;
-    std::map<std::string, double> raw;
-    for (const auto &[name, value] : fields) {
-        if (name == "sim_seconds") {
+    for (const auto &[field_name, value] : fields) {
+        const std::string_view name = field_name;
+        if (name.starts_with("stat:")) {
+            // Encoded in map order, so the end hint is exact.
+            stats.stats.insert_or_assign(stats.stats.end(),
+                                         std::string(name.substr(5)),
+                                         value);
+        } else if (name.starts_with("raw:")) {
+            stats.raw.setField(name.substr(4), value);
+        } else if (name == "sim_seconds") {
             stats.simSeconds = value;
-        } else if (name.rfind("stat:", 0) == 0) {
-            stats.stats[name.substr(5)] = value;
-        } else if (name.rfind("raw:", 0) == 0) {
-            raw[name.substr(4)] = value;
         } else {
             return false;
         }
     }
-    stats.raw.fromMap(raw);
     return true;
 }
 
@@ -246,10 +273,10 @@ ExperimentRunner::measureHw(const workload::Workload &work,
                                      runnerConfig.repeats);
     }
     std::string key = hwKey(work, cluster, freq_mhz, attempt);
-    exec::ResultStore::Fields fields;
+    exec::ResultStore::Payload fields;
     if (store->lookup(key, fields)) {
         hwsim::HwMeasurement m;
-        if (decodeHwMeasurement(fields, work.name, cluster, freq_mhz,
+        if (decodeHwMeasurement(*fields, work.name, cluster, freq_mhz,
                                 m)) {
             return m;
         }
@@ -274,10 +301,10 @@ ExperimentRunner::runG5(const workload::Workload &work,
     if (!store)
         return sim->run(work, model, freq_mhz);
     std::string key = g5Key(work, cluster, freq_mhz);
-    exec::ResultStore::Fields fields;
+    exec::ResultStore::Payload fields;
     if (store->lookup(key, fields)) {
         g5::G5Stats stats;
-        if (decodeG5Stats(fields, work.name, model,
+        if (decodeG5Stats(*fields, work.name, model,
                           runnerConfig.g5Version, freq_mhz, stats)) {
             return stats;
         }

@@ -70,81 +70,52 @@ PowerModelBuilder::selectEvents(const SelectionConfig &config) const
         response.push_back(o.power());
 
     SelectionResult result;
-    std::vector<bool> used(candidates.size(), false);
+    // Chosen candidates, and degenerate (constant) ones, which can
+    // never be selected.
+    std::vector<bool> unavailable(candidates.size());
+    for (std::size_t c = 0; c < candidates.size(); ++c)
+        unavailable[c] = mlstat::stddev(columns[c]) < 1e-12;
     std::vector<std::size_t> chosen;
     double best_adj_r2 = -1.0;
 
-    // Per-round scratch: every remaining candidate's trial fit,
-    // significance and VIF are computed up front in parallel (they
-    // are independent of one another), then the historical stateful
-    // threshold scan is replayed serially over the gathered values.
-    // The replay applies the same checks in the same candidate order
-    // against the same evolving round_best, so the selection is
-    // identical to the serial loop at any jobs count — the parallel
-    // pass merely evaluates some candidates the serial loop would
-    // have pruned by its threshold check.
-    struct CandidateEval
-    {
-        bool viable = false;
-        double adjR2 = 0.0;
-        bool significant = false;
-        double meanVif = 0.0;
-    };
-    std::vector<CandidateEval> evals(candidates.size());
-
+    // Each round scans the remaining candidates in order against an
+    // evolving round_best. The checks run cheapest first, and the
+    // mean VIF (k+1 extra fits) only for a candidate that already
+    // beats round_best significantly.
     while (chosen.size() < config.maxEvents) {
-        exec::parallelFor(
-            config.jobs, candidates.size(), [&](std::size_t c) {
-                CandidateEval &eval = evals[c];
-                eval.viable = false;
-                if (used[c])
-                    return;
-                // Skip degenerate (constant) candidates.
-                if (mlstat::stddev(columns[c]) < 1e-12)
-                    return;
-
-                std::vector<std::vector<double>> design;
-                for (std::size_t s : chosen)
-                    design.push_back(columns[s]);
-                design.push_back(columns[c]);
-
-                mlstat::OlsResult fit =
-                    mlstat::fitOls(design, response, true);
-                if (!fit.ok)
-                    return;
-
-                eval.viable = true;
-                eval.adjR2 = fit.adjustedR2;
-                eval.significant = true;
-                for (std::size_t k = 1; k < fit.pValues.size(); ++k) {
-                    if (fit.pValues[k] > config.pValueStop) {
-                        eval.significant = false;
-                        break;
-                    }
-                }
-                eval.meanVif = mlstat::mean(
-                    mlstat::varianceInflation(design));
-            });
-
         std::size_t best_index = SIZE_MAX;
         double round_best = best_adj_r2;
+        std::vector<std::vector<double>> design;
+        for (std::size_t s : chosen)
+            design.push_back(columns[s]);
+        design.emplace_back();
         for (std::size_t c = 0; c < candidates.size(); ++c) {
-            const CandidateEval &eval = evals[c];
-            if (!eval.viable)
+            if (unavailable[c])
                 continue;
-            if (eval.adjR2 <= round_best + config.minGain)
+            design.back() = columns[c];
+
+            mlstat::OlsResult fit = mlstat::fitOls(design, response, true);
+            if (!fit.ok || fit.adjustedR2 <= round_best + config.minGain)
                 continue;
-            if (!eval.significant)
+            bool significant = true;
+            for (std::size_t k = 1; k < fit.pValues.size(); ++k) {
+                if (fit.pValues[k] > config.pValueStop) {
+                    significant = false;
+                    break;
+                }
+            }
+            if (!significant ||
+                mlstat::mean(mlstat::varianceInflation(design)) >
+                    config.maxMeanVif) {
                 continue;
-            if (eval.meanVif > config.maxMeanVif)
-                continue;
-            round_best = eval.adjR2;
+            }
+            round_best = fit.adjustedR2;
             best_index = c;
         }
 
         if (best_index == SIZE_MAX)
             break;
-        used[best_index] = true;
+        unavailable[best_index] = true;
         chosen.push_back(best_index);
         best_adj_r2 = round_best;
         result.adjR2Trajectory.push_back(round_best);

@@ -35,13 +35,6 @@ struct SelectionConfig
     std::vector<int> pool;
     /** Extra composite candidates (e.g. 0x1B-0x73). */
     std::vector<EventSpec> composites;
-    /**
-     * Worker threads for the per-round candidate evaluations (each
-     * candidate's trial fit, significance and VIF are independent).
-     * The selection outcome is identical at any value: the stateful
-     * threshold scan is replayed serially over the gathered results.
-     */
-    unsigned jobs = 1;
 };
 
 /** Outcome of a selection run. */

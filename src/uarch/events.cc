@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <type_traits>
+#include <vector>
 
 namespace gemstone::uarch {
 
@@ -94,7 +95,7 @@ EventCounts::merge(const EventCounts &other)
 
 /**
  * Every scalar field of EventCounts, in the canonical (toMap) order.
- * toMap() and fromMap() are generated from this single list so the
+ * toMap() and setField() are generated from this single list so the
  * two can never drift apart.
  */
 #define GS_EVENT_COUNT_FIELDS(X) \
@@ -178,15 +179,64 @@ EventCounts::toMap() const
     return m;
 }
 
-void
-EventCounts::fromMap(const std::map<std::string, double> &values)
+namespace {
+
+/** Assign @p value to @p field unless the field's type cannot hold it
+ *  (casting a negative or too-large double to a count is undefined). */
+template <typename T>
+bool
+assignField(T &field, double value)
 {
+    if constexpr (std::is_integral_v<T>) {
+        static_assert(std::is_same_v<T, std::uint64_t>);
+        if (!(value >= 0.0 && value < 18446744073709551616.0))  // 2^64
+            return false;
+    }
+    field = static_cast<T>(value);
+    return true;
+}
+
+/** Assigns one EventCounts field from its toMap() double. */
+struct FieldSetter
+{
+    std::string_view name;
+    bool (*set)(EventCounts &, double);
+};
+
+/** Every field's setter, sorted by name for binary search. */
+const std::vector<FieldSetter> &
+sortedSetters()
+{
+    static const std::vector<FieldSetter> table = [] {
+        std::vector<FieldSetter> setters = {
 #define X(field)                                                          \
-    if (auto it = values.find(#field); it != values.end())                \
-        field = static_cast<                                              \
-            std::remove_reference_t<decltype(field)>>(it->second);
-    GS_EVENT_COUNT_FIELDS(X)
+    {#field, [](EventCounts &e, double v) {                               \
+         return assignField(e.field, v);                                  \
+     }},
+            GS_EVENT_COUNT_FIELDS(X)
 #undef X
+        };
+        std::sort(setters.begin(), setters.end(),
+                  [](const FieldSetter &a, const FieldSetter &b) {
+                      return a.name < b.name;
+                  });
+        return setters;
+    }();
+    return table;
+}
+
+} // namespace
+
+bool
+EventCounts::setField(std::string_view name, double value)
+{
+    const std::vector<FieldSetter> &table = sortedSetters();
+    auto it = std::lower_bound(
+        table.begin(), table.end(), name,
+        [](const FieldSetter &s, std::string_view n) {
+            return s.name < n;
+        });
+    return it != table.end() && it->name == name && it->set(*this, value);
 }
 
 #undef GS_EVENT_COUNT_FIELDS

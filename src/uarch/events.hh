@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace gemstone::uarch {
 
@@ -123,12 +124,15 @@ struct EventCounts
     std::map<std::string, double> toMap() const;
 
     /**
-     * Restore fields from a toMap()-style map (names absent from the
-     * map keep their current value). Inverse of toMap() for every
-     * count below 2^53, which lets memoised run results round-trip
-     * through the exec::ResultStore bit-exactly.
+     * Set the field toMap() names @p name to @p value; returns false
+     * (and changes nothing) for a name toMap() does not produce, or
+     * for a count field and a value it cannot hold (negative, NaN,
+     * 2^64 or more).
+     * Inverse of toMap() for every count below 2^53, which lets
+     * memoised run results round-trip through the exec::ResultStore
+     * bit-exactly without rebuilding a map.
      */
-    void fromMap(const std::map<std::string, double> &values);
+    bool setField(std::string_view name, double value);
 
     /** Instructions per cycle (0 when no cycles). */
     double ipc() const

@@ -296,14 +296,14 @@ TEST(ResultStore, Fnv1aMatchesReferenceVectors)
 TEST(ResultStore, HitAfterInsertMissBefore)
 {
     ResultStore store(8);
-    ResultStore::Fields out;
+    ResultStore::Payload out;
     EXPECT_FALSE(store.lookup("k1", out));
     store.insert("k1", {{"x", 1.5}, {"y", -2.0}});
     ASSERT_TRUE(store.lookup("k1", out));
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0].first, "x");
-    EXPECT_DOUBLE_EQ(out[0].second, 1.5);
-    EXPECT_EQ(out[1].first, "y");
+    ASSERT_EQ(out->size(), 2u);
+    EXPECT_EQ((*out)[0].first, "x");
+    EXPECT_DOUBLE_EQ((*out)[0].second, 1.5);
+    EXPECT_EQ((*out)[1].first, "y");
 
     ResultStore::Stats stats = store.stats();
     EXPECT_EQ(stats.hits, 1u);
@@ -344,7 +344,7 @@ TEST(ResultStore, LruEvictionDropsColdestEntry)
     store.insert("a", {{"v", 1.0}});
     store.insert("b", {{"v", 2.0}});
     // Touch "a" so "b" is the LRU victim.
-    ResultStore::Fields out;
+    ResultStore::Payload out;
     ASSERT_TRUE(store.lookup("a", out));
     store.insert("c", {{"v", 3.0}});
 
@@ -372,16 +372,16 @@ TEST(ResultStore, CsvPersistenceRoundTripsBitExactly)
 
     ResultStore restored(16);
     EXPECT_EQ(restored.loadCsv(file.path), 2u);
-    ResultStore::Fields out;
+    ResultStore::Payload out;
     ASSERT_TRUE(restored.lookup("point|a", out));
-    ASSERT_EQ(out.size(), fields.size());
+    ASSERT_EQ(out->size(), fields.size());
     for (std::size_t i = 0; i < fields.size(); ++i) {
-        EXPECT_EQ(out[i].first, fields[i].first);
+        EXPECT_EQ((*out)[i].first, fields[i].first);
         // Bit-exact, not approximately equal.
-        EXPECT_EQ(out[i].second, fields[i].second);
+        EXPECT_EQ((*out)[i].second, fields[i].second);
     }
     ASSERT_TRUE(restored.lookup("point|b", out));
-    EXPECT_EQ(out[0].second, 2.0000000000000004);
+    EXPECT_EQ((*out)[0].second, 2.0000000000000004);
 }
 
 TEST(ResultStore, CsvPersistenceCarriesSubnormalsAndExtremes)
@@ -395,13 +395,13 @@ TEST(ResultStore, CsvPersistenceCarriesSubnormalsAndExtremes)
 
     ResultStore restored(4);
     ASSERT_EQ(restored.loadCsv(file.path), 1u);
-    ResultStore::Fields out;
+    ResultStore::Payload out;
     ASSERT_TRUE(restored.lookup("point|extremes", out));
     const ResultStore::Fields expected = extremeFields();
-    ASSERT_EQ(out.size(), expected.size());
+    ASSERT_EQ(out->size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(out[i].first, expected[i].first);
-        EXPECT_TRUE(bitEqual(out[i].second, expected[i].second))
+        EXPECT_EQ((*out)[i].first, expected[i].first);
+        EXPECT_TRUE(bitEqual((*out)[i].second, expected[i].second))
             << expected[i].first;
     }
 }
@@ -439,16 +439,16 @@ TEST(ResultStore, TruncationAtAnyOffsetNeverLoadsAWrongEntry)
         ResultStore torn(8);
         torn.loadCsv(file.path);
         for (const std::string &key : keys) {
-            ResultStore::Fields loaded;
+            ResultStore::Payload loaded;
             if (!torn.lookup(key, loaded))
                 continue;
-            ResultStore::Fields saved;
+            ResultStore::Payload saved;
             ASSERT_TRUE(store.lookup(key, saved));
-            ASSERT_EQ(loaded.size(), saved.size())
+            ASSERT_EQ(loaded->size(), saved->size())
                 << "partial entry " << key << " at cut " << cut;
-            for (std::size_t i = 0; i < saved.size(); ++i) {
-                EXPECT_EQ(loaded[i].first, saved[i].first);
-                EXPECT_TRUE(bitEqual(loaded[i].second, saved[i].second))
+            for (std::size_t i = 0; i < saved->size(); ++i) {
+                EXPECT_EQ((*loaded)[i].first, (*saved)[i].first);
+                EXPECT_TRUE(bitEqual((*loaded)[i].second, (*saved)[i].second))
                     << "wrong value for " << key << " at cut " << cut;
             }
         }
@@ -470,7 +470,7 @@ TEST(ResultStore, ConcurrentMixedUseIsConsistent)
         ThreadPool pool(4);
         for (int t = 0; t < 8; ++t) {
             pool.post([&store, t] {
-                ResultStore::Fields out;
+                ResultStore::Payload out;
                 for (int i = 0; i < 500; ++i) {
                     std::string key =
                         "k" + std::to_string(i % 64);
@@ -485,10 +485,91 @@ TEST(ResultStore, ConcurrentMixedUseIsConsistent)
         }
     }
     // Every surviving entry must carry its own key's value.
-    ResultStore::Fields out;
+    ResultStore::Payload out;
     for (int i = 0; i < 64; ++i) {
         std::string key = "k" + std::to_string(i);
         ASSERT_TRUE(store.lookup(key, out));
-        EXPECT_DOUBLE_EQ(out[0].second, static_cast<double>(i));
+        EXPECT_DOUBLE_EQ((*out)[0].second, static_cast<double>(i));
     }
+}
+
+TEST(ResultStore, LookedUpPayloadSurvivesOverwriteAndEviction)
+{
+    ResultStore store(2);
+    store.insert("a", {{"v", 1.0}, {"w", 2.0}});
+    ResultStore::Payload held;
+    ASSERT_TRUE(store.lookup("a", held));
+
+    // Overwriting the key replaces the payload; the held one is
+    // untouched.
+    store.insert("a", {{"v", 10.0}});
+    ResultStore::Payload fresh;
+    ASSERT_TRUE(store.lookup("a", fresh));
+    ASSERT_EQ(fresh->size(), 1u);
+    EXPECT_EQ((*fresh)[0].second, 10.0);
+    ASSERT_EQ(held->size(), 2u);
+    EXPECT_EQ((*held)[0].first, "v");
+    EXPECT_EQ((*held)[0].second, 1.0);
+    EXPECT_EQ((*held)[1].second, 2.0);
+
+    // Evict "a" past capacity: both payloads outlive their entry.
+    store.insert("b", {{"v", 3.0}});
+    store.insert("c", {{"v", 4.0}});
+    EXPECT_FALSE(store.contains("a"));
+    EXPECT_EQ(store.stats().evictions, 1u);
+    EXPECT_EQ((*held)[1].second, 2.0);
+    EXPECT_EQ((*fresh)[0].second, 10.0);
+    store.clear();
+    EXPECT_EQ((*held)[0].second, 1.0);
+}
+
+TEST(ResultStore, ConcurrentLookupInsertEvictStress)
+{
+    // Far more keys than capacity, so hits race with overwrites and
+    // evictions of the very entries being read. Every payload a
+    // reader gets must be a complete, consistent one for its key.
+    constexpr int kKeys = 48;
+    ResultStore store(16);
+    auto payloadFor = [](int k, int version) {
+        ResultStore::Fields fields;
+        for (int f = 0; f < 8; ++f)
+            fields.emplace_back("f" + std::to_string(f), k * 1000.0 + f);
+        fields.emplace_back("version", static_cast<double>(version));
+        return fields;
+    };
+    std::atomic<int> bad{0};
+    std::atomic<int> hits{0};
+    {
+        ThreadPool pool(4);
+        for (int t = 0; t < 8; ++t) {
+            pool.post([&, t] {
+                ResultStore::Payload held;
+                for (int i = 0; i < 4000; ++i) {
+                    const int k = (i * 7 + t * 13) % kKeys;
+                    const std::string key = "k" + std::to_string(k);
+                    ResultStore::Payload got;
+                    if (store.lookup(key, got)) {
+                        ++hits;
+                        bool ok = got->size() == 9;
+                        for (int f = 0; ok && f < 8; ++f)
+                            ok = (*got)[f].second == k * 1000.0 + f;
+                        if (!ok)
+                            ++bad;
+                        if (i % 5 == 0)
+                            held = got;  // outlives later evictions
+                    } else {
+                        store.insert(key, payloadFor(k, i));
+                    }
+                    if (i % 3 == 0)
+                        store.insert(key, payloadFor(k, -i));
+                }
+                if (held && held->size() != 9)
+                    ++bad;
+            });
+        }
+    }
+    EXPECT_EQ(bad.load(), 0);
+    EXPECT_GT(hits.load(), 0);
+    EXPECT_LE(store.size(), 16u);
+    EXPECT_GT(store.stats().evictions, 0u);
 }

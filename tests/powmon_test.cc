@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "gemstone/runner.hh"
+#include "hwsim/pmu.hh"
+#include "mlstat/descriptive.hh"
+#include "mlstat/ols.hh"
 #include "powmon/builder.hh"
 #include "powmon/eventspec.hh"
 #include "powmon/model.hh"
@@ -141,6 +144,171 @@ TEST_F(PowerModelFlow, SelectionRespectsConstraints)
          ++i) {
         EXPECT_GE(selection->adjR2Trajectory[i],
                   selection->adjR2Trajectory[i - 1]);
+    }
+}
+
+namespace {
+
+/** What the brute-force oracle selected, and how often VIF vetoed. */
+struct OracleSelection
+{
+    std::vector<std::string> keys;
+    std::vector<double> trajectory;
+    /** Candidates that beat round_best significantly but whose mean
+     *  VIF exceeded the cap. */
+    std::size_t vifVetoes = 0;
+};
+
+/**
+ * Event selection the exhaustive way: each round computes every
+ * viable candidate's fit, significance and mean VIF up front, then
+ * scans them in candidate order against an evolving round_best.
+ */
+OracleSelection
+bruteForceSelect(const std::vector<PowerObservation> &obs,
+                 const SelectionConfig &config)
+{
+    std::vector<EventSpec> candidates;
+    const std::vector<int> pool = config.pool.empty()
+        ? hwsim::PmuEventTable::allIds()
+        : config.pool;
+    for (int id : pool) {
+        if (config.excluded.count(id) ||
+            (config.requireG5Equivalent &&
+             !EventSpecTable::hasG5Equivalent(id))) {
+            continue;
+        }
+        candidates.push_back(EventSpecTable::forPmc(id));
+    }
+    for (const EventSpec &composite : config.composites)
+        candidates.push_back(composite);
+
+    std::vector<std::vector<double>> columns;
+    for (const EventSpec &spec : candidates) {
+        columns.emplace_back();
+        for (const PowerObservation &o : obs)
+            columns.back().push_back(spec.hwRate(o.measurement));
+    }
+    std::vector<double> response;
+    for (const PowerObservation &o : obs)
+        response.push_back(o.power());
+
+    struct Eval
+    {
+        bool viable = false;
+        double adjR2 = 0.0;
+        bool significant = false;
+        double meanVif = 0.0;
+    };
+    OracleSelection out;
+    std::vector<bool> used(candidates.size(), false);
+    std::vector<std::size_t> chosen;
+    double best = -1.0;
+    while (chosen.size() < config.maxEvents) {
+        std::vector<Eval> evals(candidates.size());
+        for (std::size_t c = 0; c < candidates.size(); ++c) {
+            if (used[c] || mlstat::stddev(columns[c]) < 1e-12)
+                continue;
+            std::vector<std::vector<double>> design;
+            for (std::size_t s : chosen)
+                design.push_back(columns[s]);
+            design.push_back(columns[c]);
+            mlstat::OlsResult fit = mlstat::fitOls(design, response, true);
+            if (!fit.ok)
+                continue;
+            Eval &eval = evals[c];
+            eval.viable = true;
+            eval.adjR2 = fit.adjustedR2;
+            eval.significant = true;
+            for (std::size_t k = 1; k < fit.pValues.size(); ++k)
+                eval.significant &= fit.pValues[k] <= config.pValueStop;
+            eval.meanVif =
+                mlstat::mean(mlstat::varianceInflation(design));
+        }
+        std::size_t best_index = SIZE_MAX;
+        double round_best = best;
+        for (std::size_t c = 0; c < candidates.size(); ++c) {
+            const Eval &eval = evals[c];
+            if (!eval.viable || eval.adjR2 <= round_best + config.minGain ||
+                !eval.significant) {
+                continue;
+            }
+            if (eval.meanVif > config.maxMeanVif) {
+                ++out.vifVetoes;
+                continue;
+            }
+            round_best = eval.adjR2;
+            best_index = c;
+        }
+        if (best_index == SIZE_MAX)
+            break;
+        used[best_index] = true;
+        chosen.push_back(best_index);
+        best = round_best;
+        out.trajectory.push_back(round_best);
+    }
+    for (std::size_t s : chosen)
+        out.keys.push_back(candidates[s].key);
+    return out;
+}
+
+/** The selection generateReport's power-model step uses. */
+SelectionConfig
+reportSelection()
+{
+    SelectionConfig sel;
+    sel.maxEvents = 7;
+    sel.requireG5Equivalent = true;
+    for (int id : EventSpecTable::knownBadForG5())
+        sel.excluded.insert(id);
+    sel.composites.push_back(EventSpecTable::difference(0x1B, 0x73));
+    return sel;
+}
+
+/** selectEvents matches the oracle exactly; returns the oracle. */
+OracleSelection
+expectMatchesOracle(const std::vector<PowerObservation> &obs,
+                    const SelectionConfig &config)
+{
+    const OracleSelection oracle = bruteForceSelect(obs, config);
+    const SelectionResult got =
+        PowerModelBuilder(obs, "oracle").selectEvents(config);
+    std::vector<std::string> keys;
+    for (const EventSpec &spec : got.events)
+        keys.push_back(spec.key);
+    EXPECT_EQ(keys, oracle.keys);
+    // Bit-identical, not approximately equal.
+    EXPECT_EQ(got.adjR2Trajectory, oracle.trajectory);
+    EXPECT_FALSE(oracle.keys.empty());
+    return oracle;
+}
+
+} // namespace
+
+TEST_F(PowerModelFlow, SelectionMatchesBruteForceOracle)
+{
+    {
+        SCOPED_TRACE("A15, report selection");
+        expectMatchesOracle(*observations, reportSelection());
+    }
+    {
+        SCOPED_TRACE("A15, unrestricted");
+        expectMatchesOracle(*observations, SelectionConfig{});
+    }
+    {
+        SCOPED_TRACE("A7, report selection");
+        expectMatchesOracle(
+            runner->runPowerCharacterisation(hwsim::CpuCluster::LittleA7),
+            reportSelection());
+    }
+    {
+        // A VIF cap tight enough to veto candidates that would
+        // otherwise have won their round.
+        SCOPED_TRACE("A15, tight VIF cap");
+        SelectionConfig tight = reportSelection();
+        tight.maxMeanVif = 1.5;
+        EXPECT_GT(expectMatchesOracle(*observations, tight).vifVetoes,
+                  0u);
     }
 }
 

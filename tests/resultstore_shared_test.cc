@@ -72,13 +72,13 @@ TEST(SharedTier, AttachAbsorbsPreexistingEntries)
 
     ResultStore reader;
     ASSERT_TRUE(reader.attachSharedTier(file.path).ok());
-    ResultStore::Fields out;
+    ResultStore::Payload out;
     ASSERT_TRUE(reader.lookup("hw|dhrystone|1000", out));
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_EQ(out[0].first, "exec_seconds");
-    EXPECT_TRUE(bitEqual(out[0].second, 0.125));
+    ASSERT_EQ(out->size(), 3u);
+    EXPECT_EQ((*out)[0].first, "exec_seconds");
+    EXPECT_TRUE(bitEqual((*out)[0].second, 0.125));
     ASSERT_TRUE(reader.lookup("g5|whets|600", out));
-    EXPECT_TRUE(bitEqual(out[1].second, 2.0 + 1.0 / 3.0));
+    EXPECT_TRUE(bitEqual((*out)[1].second, 2.0 + 1.0 / 3.0));
     // Absorbed entries are found work, not computed work.
     EXPECT_EQ(reader.stats().insertions, 0u);
 }
@@ -94,12 +94,12 @@ TEST(SharedTier, LateArrivalsAbsorbOnMiss)
     // Published by a *after* b attached: b's in-memory tier is stale
     // until a miss sends it back to the file.
     a.insert("late|key", sampleFields(3.0));
-    ResultStore::Fields out;
+    ResultStore::Payload out;
     ASSERT_TRUE(b.lookup("late|key", out));
     EXPECT_EQ(b.stats().sharedHits, 1u);
     EXPECT_EQ(b.stats().hits, 1u);
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_TRUE(bitEqual(out[1].second, 3.0 + 1.0 / 3.0));
+    ASSERT_EQ(out->size(), 3u);
+    EXPECT_TRUE(bitEqual((*out)[1].second, 3.0 + 1.0 / 3.0));
 
     // A key nobody published is still a plain miss.
     EXPECT_FALSE(b.lookup("never|published", out));
@@ -127,9 +127,9 @@ TEST(SharedTier, ContainsSeesLateArrivalsWithoutCounting)
     EXPECT_EQ(stats.insertions, 0u);
 
     // The absorbed entry now serves a plain hit.
-    ResultStore::Fields out;
+    ResultStore::Payload out;
     ASSERT_TRUE(b.lookup("late|key", out));
-    EXPECT_TRUE(bitEqual(out[1].second, 5.0 + 1.0 / 3.0));
+    EXPECT_TRUE(bitEqual((*out)[1].second, 5.0 + 1.0 / 3.0));
 }
 
 TEST(SharedTier, PublishAbsorbCarriesSubnormalsAndExtremes)
@@ -147,13 +147,13 @@ TEST(SharedTier, PublishAbsorbCarriesSubnormalsAndExtremes)
     ASSERT_TRUE(b.attachSharedTier(file.path).ok());
     a.insert("extreme|key", extremes);
 
-    ResultStore::Fields out;
+    ResultStore::Payload out;
     ASSERT_TRUE(b.lookup("extreme|key", out));
     EXPECT_EQ(b.stats().sharedHits, 1u);
-    ASSERT_EQ(out.size(), extremes.size());
+    ASSERT_EQ(out->size(), extremes.size());
     for (std::size_t i = 0; i < extremes.size(); ++i) {
-        EXPECT_EQ(out[i].first, extremes[i].first);
-        EXPECT_TRUE(bitEqual(out[i].second, extremes[i].second))
+        EXPECT_EQ((*out)[i].first, extremes[i].first);
+        EXPECT_TRUE(bitEqual((*out)[i].second, extremes[i].second))
             << extremes[i].first;
     }
 }
@@ -189,7 +189,7 @@ TEST(SharedTier, JournalRecordsOwnInsertsOnly)
     b.enableJournal();
     b.insert("own|one", sampleFields(6.0));
     // Absorbing a's entry through a miss is not b's work.
-    ResultStore::Fields out;
+    ResultStore::Payload out;
     ASSERT_TRUE(b.lookup("foreign|key", out));
     b.insert("own|two", sampleFields(7.0));
 
@@ -220,11 +220,11 @@ TEST(SharedTier, TierFileLoadsAsPlainStoreCsv)
 
     ResultStore plain;
     EXPECT_EQ(plain.loadCsv(file.path), 3u);
-    ResultStore::Fields out;
+    ResultStore::Payload out;
     ASSERT_TRUE(plain.lookup("k|three", out));
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].first, "lonely");
-    EXPECT_TRUE(bitEqual(out[0].second, -0.0));
+    ASSERT_EQ(out->size(), 1u);
+    EXPECT_EQ((*out)[0].first, "lonely");
+    EXPECT_TRUE(bitEqual((*out)[0].second, -0.0));
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -251,7 +251,7 @@ TEST(SharedTier, ForkedChildNeverPublishes)
 
     ResultStore fresh;
     ASSERT_TRUE(fresh.attachSharedTier(file.path).ok());
-    ResultStore::Fields out;
+    ResultStore::Payload out;
     EXPECT_TRUE(fresh.lookup("parent|key", out));
     EXPECT_FALSE(fresh.lookup("child|key", out));
 }
@@ -342,12 +342,12 @@ TEST(SharedTier, ConcurrentProcessesNeverTearOrDuplicateRows)
     ResultStore verify;
     ASSERT_EQ(verify.loadCsv(file.path),
               std::size_t(kWriters * kKeysPerWriter + kSharedKeys));
-    ResultStore::Fields out;
+    ResultStore::Payload out;
     ASSERT_TRUE(verify.lookup("w2|k7", out));
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_TRUE(bitEqual(out[0].second, (2 * 100.0 + 7) * 0.125));
+    ASSERT_EQ(out->size(), 3u);
+    EXPECT_TRUE(bitEqual((*out)[0].second, (2 * 100.0 + 7) * 0.125));
     ASSERT_TRUE(verify.lookup("common|k3", out));
-    EXPECT_TRUE(bitEqual(out[2].second, 3.0 * 1e-3));
+    EXPECT_TRUE(bitEqual((*out)[2].second, 3.0 * 1e-3));
 }
 
 #endif // unix

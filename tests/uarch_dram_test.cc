@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+#include <string>
+
 #include "uarch/dram.hh"
 #include "uarch/events.hh"
 
@@ -110,6 +114,56 @@ TEST(EventCountsTest, ToMapRoundTripsKeyFields)
     EXPECT_DOUBLE_EQ(m.at("branchMispredicts"), 7.0);
     EXPECT_DOUBLE_EQ(m.at("dramStallNs"), 89.5);
     EXPECT_GT(m.size(), 50u);  // the record is comprehensive
+}
+
+TEST(EventCountsTest, SetFieldInvertsToMapForEveryField)
+{
+    // Distinct exact values for every field, the largest count a
+    // double carries exactly among them.
+    std::map<std::string, double> expected = EventCounts{}.toMap();
+    double next = 1.0;
+    for (auto &[name, value] : expected)
+        value = next++;
+    expected["instructions"] = 9007199254740991.0;  // 2^53 - 1
+    expected["cycles"] = 1.0 / 3.0;
+    expected["dramStallNs"] = 4.94e-324;
+
+    EventCounts e;
+    for (const auto &[name, value] : expected)
+        EXPECT_TRUE(e.setField(name, value)) << name;
+    EXPECT_EQ(e.toMap(), expected);
+    EXPECT_EQ(e.instructions, 9007199254740991ULL);
+
+    // Setting a field again is last-wins.
+    EXPECT_TRUE(e.setField("l2Misses", 12.0));
+    EXPECT_EQ(e.l2Misses, 12u);
+}
+
+TEST(EventCountsTest, SetFieldRejectsUnknownNames)
+{
+    EventCounts e;
+    const std::map<std::string, double> before = e.toMap();
+    for (const char *name :
+         {"", "cycle", "cyclesX", "Cycles", "gt_cycles", "zzz", "aaa"})
+        EXPECT_FALSE(e.setField(name, 5.0)) << name;
+    EXPECT_EQ(e.toMap(), before);
+}
+
+TEST(EventCountsTest, SetFieldRejectsCountsTheFieldCannotHold)
+{
+    // A bit-rotted store value must not reach an undefined
+    // double-to-unsigned cast.
+    EventCounts e;
+    e.instructions = 7;
+    for (double bad : {-1.0, -0.5, 18446744073709551616.0, 1e300,
+                       std::numeric_limits<double>::quiet_NaN()})
+        EXPECT_FALSE(e.setField("instructions", bad)) << bad;
+    EXPECT_EQ(e.instructions, 7u);
+    EXPECT_TRUE(e.setField("instructions", 0.0));
+    EXPECT_EQ(e.instructions, 0u);
+    // Time and stall fields are doubles and take any value.
+    EXPECT_TRUE(e.setField("dramStallNs", -2.5));
+    EXPECT_EQ(e.dramStallNs, -2.5);
 }
 
 TEST(EventCountsTest, DerivedMetrics)
