@@ -16,17 +16,21 @@
  * includes the tmp + fsync + rename) and counts heap allocations per
  * row with MallocTally.
  *
- * A second case times store hits, the whole cost of a point in a
+ * A second case times store hits, the decode cost of a point in a
  * warm daemon campaign: it fills a store with one default campaign
  * (serve::runCampaign with a default CampaignSpec), then replays
  * every point through a fresh runner, measureHw for each attempt the
  * campaign's quorum measured and runG5 once, all of them hits. It
  * reports hits/s and heap allocations per hw hit and per g5 hit.
+ * A third case ("warm_campaign") runs that whole default campaign
+ * again on the filled store, the unit of a warm daemon request, and
+ * reports its time and heap allocations per point.
  *
  * Emits BENCH_store_io.json in the shared benchjson.hh shape. With
  * --check <baseline.json> the bench fails when either direction's
- * allocs_per_row, or either hit kind's allocs_per_hit, exceeds the
- * baseline's. Allocation counts are deterministic and host-speed
+ * allocs_per_row, either hit kind's allocs_per_hit, or the warm
+ * campaign's allocs_per_point exceeds the baseline's. Allocation
+ * counts are deterministic and host-speed
  * independent; the MB/s and hits/s figures are informational only,
  * since a shared runner's disk and CPU make a timing gate flaky. Both
  * allocation ratios are rounded to 4 decimals, so a few constant-cost
@@ -175,25 +179,32 @@ struct OpResult
     }
 };
 
-/** Store hits of one kind: best time and allocations per hit. */
+/**
+ * Store hits of one kind, or the points of a warm campaign: best
+ * time and allocations per unit.
+ */
 struct HitResult
 {
     std::string op;
-    std::size_t hits = 0;
+    /** What is counted: "hit" or "point". */
+    std::string unit;
+    std::size_t count = 0;
     double bestSeconds = 1e300;
     std::uint64_t allocs = 0;
 
-    double allocsPerHit() const
+    double allocsPerUnit() const
     {
         return static_cast<double>(allocs) /
-            static_cast<double>(hits);
+            static_cast<double>(count);
     }
 };
 
 /**
  * Fill a store with one default campaign, then time and count the
  * store hits of replaying it: every point's quorum of measureHw
- * attempts ("hw_hit") and its runG5 ("g5_hit").
+ * attempts ("hw_hit") and its runG5 ("g5_hit"), and the whole
+ * campaign run again on the filled store ("warm_campaign", counted
+ * per point).
  */
 std::vector<HitResult>
 timeStoreHits(unsigned repeats)
@@ -212,8 +223,9 @@ timeStoreHits(unsigned repeats)
     const std::vector<const workload::Workload *> works =
         workload::Suite::validationSet();
 
-    HitResult hw{"hw_hit", works.size() * freqs.size() * spec.quorum};
-    HitResult g5{"g5_hit", works.size() * freqs.size()};
+    HitResult hw{"hw_hit", "hit",
+                 works.size() * freqs.size() * spec.quorum};
+    HitResult g5{"g5_hit", "hit", works.size() * freqs.size()};
     const exec::ResultStore::Stats filled_stats = store->stats();
     for (unsigned rep = 0; rep < repeats; ++rep) {
         MallocTallySnapshot before = mallocTally();
@@ -238,11 +250,26 @@ timeStoreHits(unsigned repeats)
         g5.bestSeconds = std::min(g5.bestSeconds, secondsSince(start));
         g5.allocs = mallocTally().allocs - before.allocs;
     }
+
+    HitResult campaign{"warm_campaign", "point",
+                       works.size() * freqs.size()};
+    for (unsigned rep = 0; rep < repeats; ++rep) {
+        const MallocTallySnapshot before = mallocTally();
+        const auto start = std::chrono::steady_clock::now();
+        const serve::CampaignOutcome warm = serve::runCampaign(
+            spec, store, nullptr, CancellationToken());
+        campaign.bestSeconds =
+            std::min(campaign.bestSeconds, secondsSince(start));
+        campaign.allocs = mallocTally().allocs - before.allocs;
+        fatal_if(warm.outcome != serve::RequestOutcome::Ok ||
+                     warm.datasetCsv != filled.datasetCsv,
+                 "warm campaign differs from the filling one");
+    }
     // A miss or an undecodable hit would simulate and insert.
     fatal_if(store->stats().misses != filled_stats.misses ||
                  store->stats().insertions != filled_stats.insertions,
              "a replayed point was not a store hit");
-    return {hw, g5};
+    return {hw, g5, campaign};
 }
 
 /** Round to the 4 decimals the JSON carries, so checks compare like
@@ -351,7 +378,8 @@ main(int argc, char **argv)
               << repeats << ")\n";
     TextTable table({"op", "ms", "MB/s", "allocs", "allocs/row"});
     benchjson::BenchJson json(
-        "store_io", "MB/s, hits/s and heap allocations per row and hit");
+        "store_io", "MB/s, hits/s, points/s and heap allocations per "
+                    "row, hit and point");
     json.setScalar("rows", std::to_string(rows));
     json.setScalar("bytes", std::to_string(first.size()));
     json.setScalar("round_trip_identical", true);
@@ -372,25 +400,29 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    std::cout << "\nwarm store hits of one default campaign (best of "
+    std::cout << "\nwarm store hits of one default campaign, and the "
+                 "campaign itself per point (best of "
               << repeats << ")\n";
-    TextTable hit_table({"op", "hits", "ms", "hits/s", "allocs/hit"});
+    TextTable hit_table(
+        {"op", "count", "ms", "per s", "allocs", "allocs/unit"});
     for (const HitResult &r : hits) {
-        const double hits_per_s =
-            static_cast<double>(r.hits) / r.bestSeconds;
-        hit_table.addRow({r.op, std::to_string(r.hits),
+        const double per_s =
+            static_cast<double>(r.count) / r.bestSeconds;
+        hit_table.addRow({r.op, std::to_string(r.count) + " " + r.unit +
+                                    "s",
                           formatDouble(r.bestSeconds * 1e3, 2),
-                          formatDouble(hits_per_s, 0),
+                          formatDouble(per_s, 0),
+                          tally_active ? std::to_string(r.allocs) : "n/a",
                           tally_active
-                              ? formatDouble(r.allocsPerHit(), 1)
+                              ? formatDouble(r.allocsPerUnit(), 1)
                               : "n/a"});
         json.addResult()
             .str("op", r.op)
-            .integer("hits", r.hits)
+            .integer(r.unit + "s", r.count)
             .num("ms", r.bestSeconds * 1e3, 3)
-            .num("hits_per_s", hits_per_s, 1)
+            .num(r.unit + "s_per_s", per_s, 1)
             .integer("allocs", r.allocs)
-            .num("allocs_per_hit", r.allocsPerHit(), 4);
+            .num("allocs_per_" + r.unit, r.allocsPerUnit(), 4);
     }
     hit_table.print(std::cout);
     json.write(out_path);
@@ -408,7 +440,10 @@ main(int argc, char **argv)
         const std::map<std::string, double> per_hit =
             benchjson::loadBaseline(baseline_path, {"op"},
                                     "allocs_per_hit");
-        fatal_if(per_row.empty() && per_hit.empty(),
+        const std::map<std::string, double> per_point =
+            benchjson::loadBaseline(baseline_path, {"op"},
+                                    "allocs_per_point");
+        fatal_if(per_row.empty() && per_hit.empty() && per_point.empty(),
                  "no results found in ", baseline_path);
         bool regressed = false;
         auto gate = [&](const std::map<std::string, double> &baseline,
@@ -425,8 +460,10 @@ main(int argc, char **argv)
         };
         for (const OpResult *r : {&load, &save})
             gate(per_row, r->op, "allocs/row", r->allocsPerRow(rows));
-        for (const HitResult &r : hits)
-            gate(per_hit, r.op, "allocs/hit", r.allocsPerHit());
+        for (const HitResult &r : hits) {
+            gate(r.unit == "hit" ? per_hit : per_point, r.op,
+                 "allocs/" + r.unit, r.allocsPerUnit());
+        }
         if (regressed)
             return 1;
         std::cout << "allocation gate passed against "

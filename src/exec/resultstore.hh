@@ -121,7 +121,8 @@ class ResultStore
      * its whole entry with it, so a cut inside a row never loads a
      * wrong or partial entry. A cut exactly at a row boundary of a
      * marker-less file looks complete and can still load a partial
-     * last entry.
+     * last entry; the runner's decoders require the complete schema,
+     * so such an entry is re-measured rather than decoded.
      */
     std::size_t loadCsv(const std::string &path);
 

@@ -233,13 +233,13 @@ correlateG5Events(const ValidationDataset &dataset, double freq_mhz,
     // inflated by the model error does not wash out its event
     // signature. Statistics that are already ratios (rates, IPC,
     // percentages) are taken as-is.
-    auto is_ratio_stat = [](const std::string &name) {
-        return name.find("rate") != std::string::npos ||
-            name.find("ipc") != std::string::npos ||
-            name.find("cpi") != std::string::npos ||
-            name.find("Pct") != std::string::npos ||
-            name.find("::mean") != std::string::npos ||
-            name.find("bw_") != std::string::npos;
+    auto is_ratio_stat = [](std::string_view name) {
+        return name.find("rate") != std::string_view::npos ||
+            name.find("ipc") != std::string_view::npos ||
+            name.find("cpi") != std::string_view::npos ||
+            name.find("Pct") != std::string_view::npos ||
+            name.find("::mean") != std::string_view::npos ||
+            name.find("bw_") != std::string_view::npos;
     };
 
     std::vector<std::string> names;
@@ -258,7 +258,7 @@ correlateG5Events(const ValidationDataset &dataset, double freq_mhz,
             }
             rates.push_back(v);
         }
-        names.push_back(name);
+        names.emplace_back(name);
         series.push_back(std::move(rates));
     }
 
@@ -336,7 +336,7 @@ regressErrorOnG5Stats(const ValidationDataset &dataset,
         mlstat::Candidate total;
         total.name = name;
         mlstat::Candidate rate;
-        rate.name = name + " (rate)";
+        rate.name = std::string(name) + " (rate)";
         for (const ValidationRecord *r : records) {
             total.values.push_back(r->g5.value(name));
             rate.values.push_back(r->g5.rate(name));

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 
@@ -217,7 +218,7 @@ namespace {
 
 /** Parse "id:count;id:count" (round-trip-exact counts). */
 bool
-parsePmcField(std::string_view text, std::map<int, double> &pmc)
+parsePmcField(std::string_view text, hwsim::PmcCounts &pmc)
 {
     pmc.clear();
     if (text.empty())
@@ -237,7 +238,7 @@ parsePmcField(std::string_view text, std::map<int, double> &pmc)
                 std::string_view(item).substr(colon + 1), count)) {
             return false;
         }
-        pmc[id] = count;
+        hwsim::setPmcCount(pmc, id, count);
     }
     return true;
 }
@@ -547,15 +548,33 @@ CampaignEngine::measurePoint(const workload::Workload &work,
         throttled_count += m->throttled ? 1 : 0;
     collated.throttled = throttled_count * 2 > kept.size();
     // PMC counts: median per event over the repeats that captured it
-    // (multiplex-loss faults leave holes in individual repeats).
+    // (multiplex-loss faults leave holes in individual repeats). Each
+    // repeat's counts are sorted by id, so one k-way merge visits the
+    // ids in order and gathers each id's counts, in repeat order, into
+    // one reused buffer.
     collated.pmc.clear();
-    std::map<int, std::vector<double>> per_event;
-    for (const hwsim::HwMeasurement *m : kept) {
-        for (const auto &[id, count] : m->pmc)
-            per_event[id].push_back(count);
+    std::vector<std::size_t> cursor(kept.size(), 0);
+    std::vector<double> counts;
+    counts.reserve(kept.size());
+    for (;;) {
+        int id = std::numeric_limits<int>::max();
+        bool any = false;
+        for (std::size_t k = 0; k < kept.size(); ++k) {
+            if (cursor[k] < kept[k]->pmc.size()) {
+                id = std::min(id, kept[k]->pmc[cursor[k]].first);
+                any = true;
+            }
+        }
+        if (!any)
+            break;
+        counts.clear();
+        for (std::size_t k = 0; k < kept.size(); ++k) {
+            const hwsim::PmcCounts &pmc = kept[k]->pmc;
+            if (cursor[k] < pmc.size() && pmc[cursor[k]].first == id)
+                counts.push_back(pmc[cursor[k]++].second);
+        }
+        collated.pmc.emplace_back(id, mlstat::medianInPlace(counts));
     }
-    for (auto &[id, counts] : per_event)
-        collated.pmc[id] = mlstat::median(std::move(counts));
 
     point.execSeconds = collated.execSeconds;
     point.powerWatts = collated.powerWatts;

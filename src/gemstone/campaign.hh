@@ -207,8 +207,8 @@ struct CampaignPoint
     bool throttled = false;
     /** Surviving per-repeat timings of the collated measurement. */
     std::vector<double> repeatSeconds;
-    /** Collated PMC medians (event id -> count). */
-    std::map<int, double> pmc;
+    /** Collated PMC medians, sorted by event id. */
+    hwsim::PmcCounts pmc;
     /** Last structured failure absorbed while measuring (Ok if none). */
     StatusCode lastError = StatusCode::Ok;
 

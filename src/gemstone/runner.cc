@@ -68,49 +68,84 @@ parsePmcId(std::string_view digits, int &id)
 }
 
 /**
+ * Decode one "gt_"/"raw:" field into @p events. An unknown name, or a
+ * count the field cannot hold, is ignored and not marked present.
+ */
+void
+decodeEventField(SortedNameCursor &cursor, uarch::EventCounts &events,
+                 std::string_view name, double value)
+{
+    const std::size_t index = cursor.find(name);
+    if (index != SortedNameCursor::npos && events.setFieldAt(index, value))
+        cursor.markPresent(index);
+}
+
+/**
  * Decode a hardware measurement in one pass over the fields. Accept
- * set: a duplicate name is last-wins, an unknown "gt_" name (or a
- * count its field cannot hold) is ignored, and an unknown top-level
- * name or a malformed "pmc_" id makes the entry undecodable (false).
+ * set: a duplicate name is last-wins and an unknown "gt_" name (or a
+ * count its field cannot hold) is ignored. The entry is undecodable
+ * (false) on an unknown top-level name or a malformed "pmc_" id, and
+ * unless it carries the complete schema: every scalar and every
+ * EventCounts field under "gt_". PMC ids may vary, since a lost
+ * multiplex group is a legitimate measurement.
  */
 bool
 decodeHwMeasurement(const exec::ResultStore::Fields &fields,
                     const std::string &workload,
                     hwsim::CpuCluster cluster, double freq_mhz,
-                    hwsim::HwMeasurement &m)
+                    unsigned repeats, hwsim::HwMeasurement &m)
 {
     m = hwsim::HwMeasurement{};
     m.workload = workload;
     m.cluster = cluster;
     m.freqMhz = freq_mhz;
+    m.repeatSeconds.reserve(repeats);
+    m.pmc.reserve(hwsim::PmuEventTable::events().size());
+    // Encoded in toMap() order, which is the cursor's table order.
+    SortedNameCursor ground_truth(uarch::EventCounts::fieldNames());
+    enum : unsigned {
+        kVoltage = 1u << 0,
+        kExecSeconds = 1u << 1,
+        kPowerWatts = 1u << 2,
+        kTemperatureC = 1u << 3,
+        kThrottled = 1u << 4,
+        kAllScalars = (1u << 5) - 1,
+    };
+    unsigned scalars = 0;
     for (const auto &[field_name, value] : fields) {
         const std::string_view name = field_name;
         if (name.starts_with("gt_")) {
-            m.groundTruth.setField(name.substr(3), value);
+            decodeEventField(ground_truth, m.groundTruth, name.substr(3),
+                             value);
         } else if (name.starts_with("pmc_")) {
-            // Encoded in ascending id order, so the end hint is exact.
+            // Encoded in ascending id order, so this appends.
             int id = 0;
             if (!parsePmcId(name.substr(4), id))
                 return false;
-            m.pmc.insert_or_assign(m.pmc.end(), id, value);
+            hwsim::setPmcCount(m.pmc, id, value);
         } else if (name.starts_with("repeat_")) {
             // Encoded in index order; Fields preserves it.
             m.repeatSeconds.push_back(value);
         } else if (name == "voltage") {
             m.voltage = value;
+            scalars |= kVoltage;
         } else if (name == "exec_seconds") {
             m.execSeconds = value;
+            scalars |= kExecSeconds;
         } else if (name == "power_watts") {
             m.powerWatts = value;
+            scalars |= kPowerWatts;
         } else if (name == "temperature_c") {
             m.temperatureC = value;
+            scalars |= kTemperatureC;
         } else if (name == "throttled") {
             m.throttled = value != 0.0;
+            scalars |= kThrottled;
         } else {
             return false;
         }
     }
-    return true;
+    return scalars == kAllScalars && ground_truth.complete();
 }
 
 exec::ResultStore::Fields
@@ -119,13 +154,18 @@ encodeG5Stats(const g5::G5Stats &stats)
     exec::ResultStore::Fields fields;
     fields.emplace_back("sim_seconds", stats.simSeconds);
     for (const auto &[name, value] : stats.stats)
-        fields.emplace_back("stat:" + name, value);
+        fields.emplace_back(std::string("stat:").append(name), value);
     for (const auto &[name, value] : stats.raw.toMap())
         fields.emplace_back("raw:" + name, value);
     return fields;
 }
 
-/** Decode g5 statistics; same accept set as decodeHwMeasurement. */
+/**
+ * Decode g5 statistics. Same accept set as decodeHwMeasurement, with
+ * "raw:" in place of "gt_"; in addition every StatDump name must be
+ * present under "stat:", and an unknown "stat:" name makes the entry
+ * undecodable.
+ */
 bool
 decodeG5Stats(const exec::ResultStore::Fields &fields,
               const std::string &workload, g5::G5Model model,
@@ -136,22 +176,28 @@ decodeG5Stats(const exec::ResultStore::Fields &fields,
     stats.model = model;
     stats.version = version;
     stats.freqMhz = freq_mhz;
+    // Both groups are encoded in their table's order.
+    SortedNameCursor stat_names(g5::StatDump::names());
+    SortedNameCursor raw_names(uarch::EventCounts::fieldNames());
+    bool sim_seconds = false;
     for (const auto &[field_name, value] : fields) {
         const std::string_view name = field_name;
         if (name.starts_with("stat:")) {
-            // Encoded in map order, so the end hint is exact.
-            stats.stats.insert_or_assign(stats.stats.end(),
-                                         std::string(name.substr(5)),
-                                         value);
+            const std::size_t index = stat_names.find(name.substr(5));
+            if (index == SortedNameCursor::npos)
+                return false;
+            stats.stats.setAt(index, value);
+            stat_names.markPresent(index);
         } else if (name.starts_with("raw:")) {
-            stats.raw.setField(name.substr(4), value);
+            decodeEventField(raw_names, stats.raw, name.substr(4), value);
         } else if (name == "sim_seconds") {
             stats.simSeconds = value;
+            sim_seconds = true;
         } else {
             return false;
         }
     }
-    return true;
+    return sim_seconds && stat_names.complete() && raw_names.complete();
 }
 
 /** One (workload, frequency) point of an experiment graph. */
@@ -277,7 +323,7 @@ ExperimentRunner::measureHw(const workload::Workload &work,
     if (store->lookup(key, fields)) {
         hwsim::HwMeasurement m;
         if (decodeHwMeasurement(*fields, work.name, cluster, freq_mhz,
-                                m)) {
+                                runnerConfig.repeats, m)) {
             return m;
         }
         warnLimited("resultstore-decode", 3,

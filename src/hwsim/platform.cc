@@ -25,8 +25,7 @@ clusterTag(CpuCluster cluster)
 double
 HwMeasurement::pmcValue(int id) const
 {
-    auto it = pmc.find(id);
-    return it == pmc.end() ? 0.0 : it->second;
+    return pmcCount(pmc, id);
 }
 
 double

@@ -67,8 +67,8 @@ struct HwMeasurement
     double execSeconds = 0.0;
     /** The individual timing observations. */
     std::vector<double> repeatSeconds;
-    /** PMC counts captured across multiplexed runs (id -> count). */
-    std::map<int, double> pmc;
+    /** PMC counts captured across multiplexed runs, sorted by id. */
+    PmcCounts pmc;
     /** Measured (noisy) mean power in watts. */
     double powerWatts = 0.0;
     /** Die temperature during the run (C). */

@@ -25,6 +25,18 @@ namespace {
 
 using uarch::EventCounts;
 
+/** First entry of @p counts whose id is not below @p id. */
+template <typename Counts>
+auto
+lowerBound(Counts &counts, int id)
+{
+    return std::lower_bound(
+        counts.begin(), counts.end(), id,
+        [](const std::pair<int, double> &entry, int key) {
+            return entry.first < key;
+        });
+}
+
 std::vector<PmcEvent>
 buildTable()
 {
@@ -243,6 +255,27 @@ buildTable()
 
 } // namespace
 
+double
+pmcCount(const PmcCounts &counts, int id)
+{
+    auto it = lowerBound(counts, id);
+    return it != counts.end() && it->first == id ? it->second : 0.0;
+}
+
+void
+setPmcCount(PmcCounts &counts, int id, double count)
+{
+    if (counts.empty() || counts.back().first < id) {
+        counts.emplace_back(id, count);
+        return;
+    }
+    auto it = lowerBound(counts, id);
+    if (it->first == id)
+        it->second = count;
+    else
+        counts.emplace(it, id, count);
+}
+
 const std::vector<PmcEvent> &
 PmuEventTable::events()
 {
@@ -293,11 +326,12 @@ PmuSampler::runsNeeded(std::size_t event_count) const
         (event_count + counterSlots - 1) / counterSlots);
 }
 
-std::map<int, double>
+PmcCounts
 PmuSampler::capture(const std::vector<int> &event_ids,
                     const uarch::EventCounts &truth, Rng &rng) const
 {
-    std::map<int, double> out;
+    PmcCounts out;
+    out.reserve(event_ids.size());
     // Each group of counterSlots events shares one emulated run, and
     // therefore one run-to-run perturbation draw.
     double run_scale = 1.0;
@@ -310,25 +344,28 @@ PmuSampler::capture(const std::vector<int> &event_ids,
         double measured = true_count * run_scale;
         // Counts are integers on real hardware; keep sub-one values
         // exact so rates of rare events stay meaningful.
-        out[event_ids[i]] = measured < 0 ? 0.0 : measured;
+        setPmcCount(out, event_ids[i], measured < 0 ? 0.0 : measured);
     }
     return out;
 }
 
-std::map<int, double>
+PmcCounts
 PmuSampler::captureFaulty(const std::vector<int> &event_ids,
                           const uarch::EventCounts &truth, Rng &rng,
                           const CaptureFaults &faults) const
 {
-    std::map<int, double> out = capture(event_ids, truth, rng);
+    PmcCounts out = capture(event_ids, truth, rng);
     if (faults.loseGroup && !event_ids.empty()) {
         unsigned groups = runsNeeded(event_ids.size());
         unsigned lost = faults.lostGroup % groups;
         std::size_t first = std::size_t{lost} * counterSlots;
         std::size_t last = std::min(first + counterSlots,
                                     event_ids.size());
-        for (std::size_t i = first; i < last; ++i)
-            out.erase(event_ids[i]);
+        for (std::size_t i = first; i < last; ++i) {
+            auto it = lowerBound(out, event_ids[i]);
+            if (it != out.end() && it->first == event_ids[i])
+                out.erase(it);
+        }
     }
     if (faults.overflow) {
         constexpr double kCounterWrap = 4294967296.0;  // 2^32

@@ -17,8 +17,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "uarch/events.hh"
@@ -38,6 +38,22 @@ struct PmcEvent
 
 /** Hex-formatted id, e.g. "0x11". */
 std::string pmcIdString(int id);
+
+/**
+ * The PMC counts of one measurement: (event id, count) pairs sorted
+ * by id, each id once.
+ */
+using PmcCounts = std::vector<std::pair<int, double>>;
+
+/** Count of event @p id (binary search); 0 when not captured. */
+double pmcCount(const PmcCounts &counts, int id);
+
+/**
+ * Set the count of event @p id, keeping @p counts sorted and unique:
+ * an id already present takes the new count, so a repeated id keeps
+ * its last one. Ascending ids append in O(1).
+ */
+void setPmcCount(PmcCounts &counts, int id, double count);
 
 /**
  * The PMU event table.
@@ -80,11 +96,10 @@ class PmuSampler
      * @param events ids to capture
      * @param truth the run's true event record
      * @param rng noise stream (advanced per emulated run)
-     * @return id -> measured count
+     * @return measured counts; an id listed twice keeps its last
      */
-    std::map<int, double> capture(const std::vector<int> &events,
-                                  const uarch::EventCounts &truth,
-                                  Rng &rng) const;
+    PmcCounts capture(const std::vector<int> &events,
+                      const uarch::EventCounts &truth, Rng &rng) const;
 
     /** PMC corruption selected by the fault injector. */
     struct CaptureFaults
@@ -99,16 +114,15 @@ class PmuSampler
 
     /**
      * capture() through an injected fault: a lost multiplex group
-     * never reaches the output map (the harness sees those events as
+     * never reaches the output (the harness sees those events as
      * simply missing), and an overflow episode wraps every count at
      * 2^32 exactly as the real 32-bit PMCs do when a multiplexing
      * window runs long. With a default-constructed @p faults this is
      * capture() bit for bit.
      */
-    std::map<int, double> captureFaulty(
-        const std::vector<int> &events,
-        const uarch::EventCounts &truth, Rng &rng,
-        const CaptureFaults &faults) const;
+    PmcCounts captureFaulty(const std::vector<int> &events,
+                            const uarch::EventCounts &truth, Rng &rng,
+                            const CaptureFaults &faults) const;
 
     /** Number of instrumented runs needed for n events. */
     unsigned runsNeeded(std::size_t event_count) const;

@@ -51,6 +51,12 @@ stddev(const std::vector<double> &values)
 double
 median(std::vector<double> values)
 {
+    return medianInPlace(values);
+}
+
+double
+medianInPlace(std::span<double> values)
+{
     if (values.empty())
         return 0.0;
     std::sort(values.begin(), values.end());

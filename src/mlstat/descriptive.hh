@@ -12,6 +12,7 @@
 #define GEMSTONE_MLSTAT_DESCRIPTIVE_HH
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace gemstone::mlstat {
@@ -27,6 +28,9 @@ double variance(const std::vector<double> &values);
 
 /** Median (copies and sorts); 0 for an empty input. */
 double median(std::vector<double> values);
+
+/** median() of @p values, sorting them in place. */
+double medianInPlace(std::span<double> values);
 
 /** Minimum; 0 for an empty input. */
 double minValue(const std::vector<double> &values);

@@ -197,18 +197,20 @@ assignField(T &field, double value)
 }
 
 /** Assigns one EventCounts field from its toMap() double. */
-struct FieldSetter
+using FieldSetter = bool (*)(EventCounts &, double);
+
+/** Every field's name and setter, sorted by name. */
+struct FieldTable
 {
-    std::string_view name;
-    bool (*set)(EventCounts &, double);
+    std::vector<std::string_view> names;
+    std::vector<FieldSetter> setters;
 };
 
-/** Every field's setter, sorted by name for binary search. */
-const std::vector<FieldSetter> &
-sortedSetters()
+const FieldTable &
+fieldTable()
 {
-    static const std::vector<FieldSetter> table = [] {
-        std::vector<FieldSetter> setters = {
+    static const FieldTable table = [] {
+        std::vector<std::pair<std::string_view, FieldSetter>> fields = {
 #define X(field)                                                          \
     {#field, [](EventCounts &e, double v) {                               \
          return assignField(e.field, v);                                  \
@@ -216,27 +218,41 @@ sortedSetters()
             GS_EVENT_COUNT_FIELDS(X)
 #undef X
         };
-        std::sort(setters.begin(), setters.end(),
-                  [](const FieldSetter &a, const FieldSetter &b) {
-                      return a.name < b.name;
+        std::sort(fields.begin(), fields.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
                   });
-        return setters;
+        FieldTable sorted;
+        for (const auto &[name, setter] : fields) {
+            sorted.names.push_back(name);
+            sorted.setters.push_back(setter);
+        }
+        return sorted;
     }();
     return table;
 }
 
 } // namespace
 
+std::span<const std::string_view>
+EventCounts::fieldNames()
+{
+    return fieldTable().names;
+}
+
+bool
+EventCounts::setFieldAt(std::size_t index, double value)
+{
+    return fieldTable().setters[index](*this, value);
+}
+
 bool
 EventCounts::setField(std::string_view name, double value)
 {
-    const std::vector<FieldSetter> &table = sortedSetters();
-    auto it = std::lower_bound(
-        table.begin(), table.end(), name,
-        [](const FieldSetter &s, std::string_view n) {
-            return s.name < n;
-        });
-    return it != table.end() && it->name == name && it->set(*this, value);
+    const std::vector<std::string_view> &names = fieldTable().names;
+    auto it = std::lower_bound(names.begin(), names.end(), name);
+    return it != names.end() && *it == name &&
+        setFieldAt(static_cast<std::size_t>(it - names.begin()), value);
 }
 
 #undef GS_EVENT_COUNT_FIELDS

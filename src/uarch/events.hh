@@ -12,7 +12,9 @@
 #define GEMSTONE_UARCH_EVENTS_HH
 
 #include <cstdint>
+#include <cstddef>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -133,6 +135,16 @@ struct EventCounts
      * bit-exactly without rebuilding a map.
      */
     bool setField(std::string_view name, double value);
+
+    /**
+     * The names toMap() produces, sorted (toMap() order): the schema
+     * setField() accepts, for decoders that match names against it
+     * in one pass.
+     */
+    static std::span<const std::string_view> fieldNames();
+
+    /** setField() of fieldNames()[@p index]. */
+    bool setFieldAt(std::size_t index, double value);
 
     /** Instructions per cycle (0 when no cycles). */
     double ipc() const

@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/logging.hh"
+
 namespace gemstone {
 
 std::vector<std::string>
@@ -165,6 +167,35 @@ std::string
 formatPercent(double fraction, int decimals)
 {
     return formatDouble(fraction * 100.0, decimals) + "%";
+}
+
+SortedNameCursor::SortedNameCursor(
+    std::span<const std::string_view> names)
+    : names(names)
+{
+    panic_if(names.size() > kMaxNames, "name table of ", names.size(),
+             " entries exceeds the cursor's ", kMaxNames);
+}
+
+std::size_t
+SortedNameCursor::find(std::string_view name)
+{
+    if (next < names.size() && names[next] == name)
+        return next++;
+    auto it = std::lower_bound(names.begin(), names.end(), name);
+    if (it == names.end() || *it != name)
+        return npos;
+    next = static_cast<std::size_t>(it - names.begin()) + 1;
+    return next - 1;
+}
+
+void
+SortedNameCursor::markPresent(std::size_t index)
+{
+    if (!present.test(index)) {
+        present.set(index);
+        ++presentCount;
+    }
 }
 
 } // namespace gemstone

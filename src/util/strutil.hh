@@ -6,6 +6,9 @@
 #ifndef GEMSTONE_UTIL_STRUTIL_HH
 #define GEMSTONE_UTIL_STRUTIL_HH
 
+#include <bitset>
+#include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -68,6 +71,41 @@ std::string formatRatio(double value);
 
 /** Format a fraction as a percentage string, e.g. "-51.0%". */
 std::string formatPercent(double fraction, int decimals = 1);
+
+/**
+ * Matches the names of one record against a sorted table of names.
+ * Records are usually written in table order, so the entry after the
+ * last match is tried first (one compare) and a binary search of the
+ * table is only the fallback. The cursor also records which entries
+ * were marked present, so a decoder can tell whether the record
+ * carried the table's complete schema.
+ */
+class SortedNameCursor
+{
+  public:
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+    /** Largest table a cursor tracks. */
+    static constexpr std::size_t kMaxNames = 256;
+
+    /** @param names sorted and unique, at most kMaxNames; not copied,
+     *  so it must outlive the cursor */
+    explicit SortedNameCursor(std::span<const std::string_view> names);
+
+    /** Index of @p name in the table, or npos when it has none. */
+    std::size_t find(std::string_view name);
+
+    /** Mark table entry @p index present. */
+    void markPresent(std::size_t index);
+
+    /** True when every table entry was marked present. */
+    bool complete() const { return presentCount == names.size(); }
+
+  private:
+    std::span<const std::string_view> names;
+    std::size_t next = 0;
+    std::size_t presentCount = 0;
+    std::bitset<kMaxNames> present;
+};
 
 } // namespace gemstone
 

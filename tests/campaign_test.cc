@@ -11,12 +11,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "gemstone/campaign.hh"
 #include "gemstone/runner.hh"
 #include "hwsim/faults.hh"
+#include "mlstat/descriptive.hh"
 #include "util/csv.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
@@ -344,8 +347,87 @@ TEST_F(CampaignFlow, ResumeCarriesSubnormalsAndExtremesBitExactly)
     EXPECT_EQ(bits(restored.repeatSeconds[1]), bits(-0.0));
     EXPECT_EQ(bits(restored.repeatSeconds[2]), bits(DBL_MAX));
     ASSERT_EQ(restored.pmc.size(), 2u);
-    EXPECT_EQ(bits(restored.pmc.at(1)), bits(half_min));
-    EXPECT_EQ(bits(restored.pmc.at(2)), bits(subnormal));
+    EXPECT_EQ(bits(hwsim::pmcCount(restored.pmc, 1)), bits(half_min));
+    EXPECT_EQ(bits(hwsim::pmcCount(restored.pmc, 2)), bits(subnormal));
+}
+
+TEST_F(CampaignFlow, CheckpointPmcFieldIsSortedAndLastWins)
+{
+    // A hand-edited pmc cell lists ids out of order and one twice: the
+    // resumed point holds them sorted, the repeated id at its last
+    // count.
+    ScratchFile checkpoint("gs_campaign_pmc_order_test.csv");
+    CampaignConfig policy;
+    policy.checkpointPath = checkpoint.path;
+    CampaignConfig partial = policy;
+    partial.maxPoints = 1;
+    ExperimentRunner first = makeRunner();
+    CampaignEngine(first, partial)
+        .runValidation(hwsim::CpuCluster::BigA15, {kFreq});
+
+    CsvReader saved = CsvReader::parseFile(checkpoint.path);
+    ASSERT_TRUE(saved.ok());
+    ASSERT_EQ(saved.rowCount(), 1u);
+    std::vector<std::string> row;
+    for (std::string_view cell : saved.row(0))
+        row.emplace_back(cell);
+    row[saved.columnIndex("pmc")] = "17:1.5;3:2;17:4.25;8:0;3:7";
+    CsvWriter rewritten(saved.header());
+    rewritten.addRow(row);
+    ASSERT_TRUE(rewritten.writeFileAtomic(checkpoint.path).ok());
+
+    ExperimentRunner second = makeRunner();
+    CampaignResult after =
+        CampaignEngine(second, policy)
+            .runValidation(hwsim::CpuCluster::BigA15, {kFreq});
+    ASSERT_EQ(after.resumedPoints, 1u);
+    EXPECT_EQ(after.points[0].pmc,
+              (hwsim::PmcCounts{{3, 7.0}, {8, 0.0}, {17, 4.25}}));
+}
+
+TEST_F(CampaignFlow, CollationTakesPerEventMediansOverLostGroups)
+{
+    // Half the attempts lose a multiplex group, so a point's kept
+    // repeats carry different id sets. Each collated count must be
+    // mlstat::median over the repeats that captured the event.
+    setQuiet(true);
+    ExperimentRunner runner = makeRunner();
+    hwsim::FaultConfig loss;
+    loss.enabled = true;
+    loss.pmcGroupLossProb = 0.5;
+    runner.platform().injectFaults(loss);
+    CampaignResult result = CampaignEngine(runner, CampaignConfig{})
+                                .runValidation(hwsim::CpuCluster::BigA15,
+                                               {kFreq});
+    std::size_t checked = 0;
+    std::size_t mixed = 0;
+    for (const CampaignPoint &point : result.points) {
+        // Without failures or rejections the kept repeats are exactly
+        // attempts 0 .. attempts-1.
+        if (!point.converged() || point.failures != 0 ||
+            point.rejected != 0) {
+            continue;
+        }
+        std::map<int, std::vector<double>> per_event;
+        std::set<std::size_t> sizes;
+        for (unsigned attempt = 0; attempt < point.attempts; ++attempt) {
+            const hwsim::HwMeasurement m = runner.measureHw(
+                workload::Suite::byName(point.workload), point.cluster,
+                point.freqMhz, attempt);
+            sizes.insert(m.pmc.size());
+            for (const auto &[id, count] : m.pmc)
+                per_event[id].push_back(count);
+        }
+        hwsim::PmcCounts expected;
+        for (auto &[id, counts] : per_event)
+            expected.emplace_back(id, mlstat::median(std::move(counts)));
+        EXPECT_EQ(point.pmc, expected) << point.workload;
+        ++checked;
+        mixed += sizes.size() > 1 ? 1 : 0;
+    }
+    setQuiet(false);
+    EXPECT_GT(checked, 10u);
+    EXPECT_GT(mixed, 0u);
 }
 
 TEST_F(CampaignFlow, CorruptCheckpointIsReportedAndRerun)

@@ -7,9 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "g5/config.hh"
 #include "g5/simulator.hh"
 #include "hwsim/platform.hh"
+#include "util/random.hh"
 #include "workload/workload.hh"
 
 using namespace gemstone;
@@ -132,9 +139,12 @@ TEST_F(G5Run, DumpHasGem5StyleNames)
           "system.l2.ReadExReq_hits::total",
           "system.l2.overall_misses::total",
           "system.mem_ctrls.num_reads::total"}) {
-        EXPECT_TRUE(stats->stats.count(name)) << "missing " << name;
+        EXPECT_NE(StatDump::indexOf(name), StatDump::npos)
+            << "missing " << name;
     }
-    // The dump is rich, like a real gem5 stats.txt.
+    // The dump holds the whole schema, and it is rich, like a real
+    // gem5 stats.txt.
+    EXPECT_EQ(stats->stats.size(), StatDump::names().size());
     EXPECT_GT(stats->stats.size(), 100u);
 }
 
@@ -172,6 +182,78 @@ TEST_F(G5Run, StatsTextRendering)
     EXPECT_NE(text.find("Begin Simulation Statistics"),
               std::string::npos);
     EXPECT_NE(text.find("system.cpu.numCycles"), std::string::npos);
+}
+
+TEST_F(G5Run, StatsTextIsPinned)
+{
+    // The stats.txt rendering of this run, pinned by length and
+    // FNV-1a 64 digest: the flat dump must render the same bytes, in
+    // the same name order, as the name-keyed map it replaced.
+    const std::string text = stats->statsText();
+    std::uint64_t digest = 1469598103934665603ULL;
+    for (unsigned char c : text) {
+        digest ^= c;
+        digest *= 1099511628211ULL;
+    }
+    EXPECT_EQ(text.size(), 8275u);
+    EXPECT_EQ(digest, 0xf1364d666c74956bULL);
+}
+
+TEST(StatDump, SchemaIsSortedUniqueAndIndexed)
+{
+    const auto names = StatDump::names();
+    ASSERT_EQ(names.size(), 141u);
+    EXPECT_TRUE(std::adjacent_find(names.begin(), names.end(),
+                                   [](std::string_view a,
+                                      std::string_view b) {
+                                       return !(a < b);
+                                   }) == names.end());
+    for (std::size_t i = 0; i < names.size(); ++i)
+        EXPECT_EQ(StatDump::indexOf(names[i]), i);
+    EXPECT_EQ(StatDump::indexOf("no.such.stat"), StatDump::npos);
+    EXPECT_EQ(StatDump::indexOf(""), StatDump::npos);
+}
+
+TEST(StatDump, BuildYieldsExactlyTheSchema)
+{
+    // Both models, and event records with every field random.
+    const auto names = StatDump::names();
+    const auto fields = uarch::EventCounts::fieldNames();
+    Rng rng(0x57A7D);
+    for (int trial = 0; trial < 8; ++trial) {
+        uarch::EventCounts events;
+        for (std::size_t f = 0; f < fields.size(); ++f) {
+            ASSERT_TRUE(events.setFieldAt(
+                f, static_cast<double>(rng.uniformInt(1u << 30))));
+        }
+        for (G5Model model : {G5Model::Ex5Big, G5Model::Ex5Little}) {
+            const StatDump dump =
+                buildStatDump(events, 1e-3 * (trial + 1), model);
+            ASSERT_EQ(dump.size(), names.size());
+            std::size_t i = 0;
+            for (const auto &[name, value] : dump) {
+                ASSERT_LT(i, names.size());
+                EXPECT_EQ(name, names[i]);
+                EXPECT_EQ(value, dump.value(name));
+                ++i;
+            }
+            EXPECT_EQ(i, names.size());
+        }
+    }
+}
+
+TEST(StatDump, EmptyDumpReadsZeroUntilFirstSet)
+{
+    StatDump dump;
+    EXPECT_TRUE(dump.empty());
+    EXPECT_EQ(dump.value("sim_seconds"), 0.0);
+    EXPECT_TRUE(dump.begin() == dump.end());
+
+    dump.setAt(StatDump::indexOf("system.cpu.numCycles"), 4000.0);
+    EXPECT_EQ(dump.size(), StatDump::names().size());
+    EXPECT_EQ(dump.value("system.cpu.numCycles"), 4000.0);
+    EXPECT_EQ(dump.value("sim_seconds"), 0.0);
+    EXPECT_EQ(dump.value("no.such.stat"), 0.0);
 }
 
 TEST_F(G5Run, IpcWithinPhysicalBounds)

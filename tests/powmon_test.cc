@@ -26,7 +26,7 @@ TEST(EventSpecTest, SinglePmcExtraction)
     EventSpec cycles = EventSpecTable::forPmc(0x11);
     EXPECT_EQ(cycles.key, "0x11");
     hwsim::HwMeasurement m;
-    m.pmc[0x11] = 5000.0;
+    hwsim::setPmcCount(m.pmc, 0x11, 5000.0);
     m.execSeconds = 2.0;
     EXPECT_DOUBLE_EQ(cycles.hwCount(m), 5000.0);
     EXPECT_DOUBLE_EQ(cycles.hwRate(m), 2500.0);
@@ -37,8 +37,8 @@ TEST(EventSpecTest, CompositeDifference)
     EventSpec diff = EventSpecTable::difference(0x1B, 0x73);
     EXPECT_EQ(diff.key, "0x1B-0x73");
     hwsim::HwMeasurement m;
-    m.pmc[0x1B] = 1000.0;
-    m.pmc[0x73] = 400.0;
+    hwsim::setPmcCount(m.pmc, 0x1B, 1000.0);
+    hwsim::setPmcCount(m.pmc, 0x73, 400.0);
     m.execSeconds = 1.0;
     EXPECT_DOUBLE_EQ(diff.hwCount(m), 600.0);
 }
@@ -48,7 +48,7 @@ TEST(EventSpecTest, G5EquivalentExtraction)
     EventSpec cycles = EventSpecTable::forPmc(0x11);
     g5::G5Stats s;
     s.simSeconds = 0.5;
-    s.stats["system.cpu.numCycles"] = 4000.0;
+    s.stats.setAt(g5::StatDump::indexOf("system.cpu.numCycles"), 4000.0);
     EXPECT_DOUBLE_EQ(cycles.g5Count(s), 4000.0);
     EXPECT_DOUBLE_EQ(cycles.g5Rate(s), 8000.0);
 }

@@ -4,16 +4,19 @@
  * and runG5 encode a result into a store entry and decode a hit back.
  *
  * A hit must reproduce the cold result bit for bit, and the decoder's
- * accept set is pinned here: a duplicate name is last-wins, an
- * unknown "gt_"/"raw:" name is ignored, and an unknown top-level name
- * or a malformed "pmc_" id makes the entry undecodable, which the
- * runner answers by simulating again.
+ * accept set is pinned here: a duplicate name is last-wins and an
+ * unknown "gt_"/"raw:" name is ignored. An unknown top-level or
+ * "stat:" name, a malformed "pmc_" id, or a missing scalar, event
+ * field or statistic makes the entry undecodable, which the runner
+ * answers by simulating again. PMC ids may vary (a lost multiplex
+ * group is a legitimate measurement).
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -26,6 +29,7 @@
 #include "exec/resultstore.hh"
 #include "gemstone/runner.hh"
 #include "util/csv.hh"
+#include "util/logging.hh"
 #include "util/strutil.hh"
 
 using namespace gemstone;
@@ -164,6 +168,84 @@ fieldIndex(const ResultStore::Fields &fields, const std::string &name)
     return 0;
 }
 
+/** Remove field @p name from @p fields. */
+void
+eraseField(ResultStore::Fields &fields, const std::string &name)
+{
+    fields.erase(fields.begin() +
+                 static_cast<std::ptrdiff_t>(fieldIndex(fields, name)));
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+/**
+ * The saved store of one entry, without its integrity marker: the
+ * header row and one row per field.
+ */
+std::vector<std::string>
+markerlessRows(const std::string &key, const ResultStore::Fields &fields,
+               const std::string &path)
+{
+    ResultStore store;
+    store.insert(key, fields);
+    EXPECT_TRUE(store.saveCsv(path).ok());
+    std::vector<std::string> rows;
+    std::istringstream document(readFile(path));
+    for (std::string line; std::getline(document, line);) {
+        if (!line.starts_with('#'))
+            rows.push_back(line + "\n");
+    }
+    EXPECT_EQ(rows.size(), fields.size() + 1);
+    return rows;
+}
+
+/**
+ * Store @p rows[0, count) at @p path and load it into a fresh store:
+ * the file a marker-less save cut at that row boundary leaves.
+ */
+std::shared_ptr<ResultStore>
+loadCut(const std::vector<std::string> &rows, std::size_t count,
+        const std::string &path)
+{
+    std::string cut;
+    for (std::size_t r = 0; r < count; ++r)
+        cut += rows[r];
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << cut;
+    auto store = std::make_shared<ResultStore>();
+    // Every cut keeps at least one field row, so the torn entry loads.
+    EXPECT_EQ(store->loadCsv(path), 1u);
+    return store;
+}
+
+/**
+ * Cut a marker-less save of @p cold's entry at every row boundary
+ * inside the entry and load each cut. @p hit (the runner's lookup on
+ * the loaded store) must return the cold result and leave the whole
+ * entry in place of the partial one.
+ */
+template <typename Result, typename Hit>
+void
+expectEveryCutReMeasured(const Cold<Result> &cold, const std::string &path,
+                         Hit hit)
+{
+    const std::vector<std::string> rows =
+        markerlessRows(cold.key, cold.fields, path);
+    for (std::size_t count = 2; count < rows.size(); ++count) {
+        SCOPED_TRACE("field rows kept: " + std::to_string(count - 1));
+        auto store = loadCut(rows, count, path);
+        EXPECT_EQ(render(hit(store)), render(cold.result));
+        ResultStore::Payload payload;
+        ASSERT_TRUE(store->lookup(cold.key, payload));
+        EXPECT_EQ(*payload, cold.fields);
+    }
+}
+
 } // namespace
 
 TEST(RunnerStore, HwHitDecodesToTheColdMeasurement)
@@ -239,6 +321,32 @@ TEST(RunnerStore, MalformedPmcNameInASavedStoreIsReMeasured)
     std::filesystem::remove(path);
 }
 
+TEST(RunnerStore, RowBoundaryCutOfAMarkerlessStoreIsReMeasured)
+{
+    // A marker-less store cut exactly at a row boundary loads its
+    // partial last entry. Whatever the cut loses, the hit must not
+    // decode into a result with missing counters: it is re-measured,
+    // equal to the cold result bit for bit.
+    setQuiet(true);
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("gs_runner_store_cut_" + std::to_string(::getpid()) + ".csv"))
+            .string();
+    ExperimentRunner runner{RunnerConfig{}};
+    expectEveryCutReMeasured(
+        coldHw(), path, [&](std::shared_ptr<ResultStore> store) {
+            runner.attachResultStore(std::move(store));
+            return runner.measureHw(testWorkload(), kCluster, kFreq, 0);
+        });
+    expectEveryCutReMeasured(
+        coldG5(), path, [&](std::shared_ptr<ResultStore> store) {
+            runner.attachResultStore(std::move(store));
+            return runner.runG5(testWorkload(), kCluster, kFreq);
+        });
+    std::filesystem::remove(path);
+    setQuiet(false);
+}
+
 TEST(RunnerStore, HwAcceptSetIsPinned)
 {
     const Cold<hwsim::HwMeasurement> cold = coldHw();
@@ -257,7 +365,9 @@ TEST(RunnerStore, HwAcceptSetIsPinned)
          [](hwsim::HwMeasurement &m) { m.voltage = 7.5; }},
         {"duplicate pmc is last-wins",
          [](ResultStore::Fields &f) { f.emplace_back("pmc_17", 3.0); },
-         [](hwsim::HwMeasurement &m) { m.pmc[17] = 3.0; }},
+         [](hwsim::HwMeasurement &m) {
+             hwsim::setPmcCount(m.pmc, 17, 3.0);
+         }},
         {"duplicate gt_ is last-wins",
          [](ResultStore::Fields &f) { f.emplace_back("gt_cycles", 9.0); },
          [](hwsim::HwMeasurement &m) { m.groundTruth.cycles = 9.0; }},
@@ -284,6 +394,32 @@ TEST(RunnerStore, HwAcceptSetIsPinned)
              f.emplace_back("raw:cycles", 1.0);
          },
          nullptr},
+        {"missing scalar is rejected",
+         [](ResultStore::Fields &f) { eraseField(f, "throttled"); },
+         nullptr},
+        {"missing gt_ is rejected",
+         [](ResultStore::Fields &f) { eraseField(f, "gt_cycles"); },
+         nullptr},
+        {"gt_ present only as a count it cannot hold is rejected",
+         [](ResultStore::Fields &f) {
+             eraseField(f, "gt_instructions");
+             f.emplace_back("gt_instructions", -1.0);
+         },
+         nullptr},
+        {"missing pmc is a lost group",
+         [](ResultStore::Fields &f) { eraseField(f, "pmc_17"); },
+         [](hwsim::HwMeasurement &m) {
+             m.pmc.erase(std::find_if(
+                 m.pmc.begin(), m.pmc.end(),
+                 [](const auto &entry) { return entry.first == 17; }));
+         }},
+        {"out-of-order pmc ids decode sorted",
+         [](ResultStore::Fields &f) {
+             const std::size_t at = fieldIndex(f, "pmc_17");
+             f.emplace_back(f[at]);
+             f.erase(f.begin() + static_cast<std::ptrdiff_t>(at));
+         },
+         [](hwsim::HwMeasurement &) {}},
     };
     for (const Row &row : rows) {
         SCOPED_TRACE(row.what);
@@ -300,7 +436,7 @@ TEST(RunnerStore, G5AcceptSetIsPinned)
 {
     const Cold<g5::G5Stats> cold = coldG5();
     ASSERT_FALSE(cold.result.stats.empty());
-    const std::string stat = cold.result.stats.begin()->first;
+    const std::string stat((*cold.result.stats.begin()).first);
     using Edit = std::function<void(ResultStore::Fields &)>;
     using Expect = std::function<void(g5::G5Stats &)>;
     struct Row
@@ -319,7 +455,9 @@ TEST(RunnerStore, G5AcceptSetIsPinned)
          [&](ResultStore::Fields &f) {
              f.emplace_back("stat:" + stat, 4.0);
          },
-         [&](g5::G5Stats &s) { s.stats[stat] = 4.0; }},
+         [&](g5::G5Stats &s) {
+             s.stats.setAt(g5::StatDump::indexOf(stat), 4.0);
+         }},
         {"duplicate raw: is last-wins",
          [](ResultStore::Fields &f) {
              f.emplace_back("raw:instructions", 11.0);
@@ -341,6 +479,22 @@ TEST(RunnerStore, G5AcceptSetIsPinned)
              f.emplace_back("sim_seconds", 0.25);
              f.emplace_back("gt_cycles", 1.0);
          },
+         nullptr},
+        {"unknown stat: is rejected",
+         [](ResultStore::Fields &f) {
+             f.emplace_back("stat:system.cpu.noSuchStat", 1.0);
+         },
+         nullptr},
+        {"missing stat: is rejected",
+         [&](ResultStore::Fields &f) { eraseField(f, "stat:" + stat); },
+         nullptr},
+        {"missing raw: is rejected",
+         [](ResultStore::Fields &f) {
+             eraseField(f, "raw:instructions");
+         },
+         nullptr},
+        {"missing sim_seconds is rejected",
+         [](ResultStore::Fields &f) { eraseField(f, "sim_seconds"); },
          nullptr},
     };
     for (const Row &row : rows) {

@@ -882,3 +882,32 @@ TEST(Arena, SteadyStateArenaReuseMakesNoHeapAllocations)
     EXPECT_EQ(after.allocs - before.allocs, 0u)
         << "arena reuse must not touch operator new";
 }
+
+TEST(SortedNameCursor, InOrderFastPathReorderedFallbackAndCompleteness)
+{
+    const std::vector<std::string_view> names = {"alpha", "beta",
+                                                 "delta", "gamma"};
+    SortedNameCursor cursor(names);
+    EXPECT_FALSE(cursor.complete());
+    // In table order, then out of order, then a miss.
+    EXPECT_EQ(cursor.find("alpha"), 0u);
+    EXPECT_EQ(cursor.find("beta"), 1u);
+    EXPECT_EQ(cursor.find("gamma"), 3u);
+    EXPECT_EQ(cursor.find("alpha"), 0u);
+    EXPECT_EQ(cursor.find("beta"), 1u);
+    EXPECT_EQ(cursor.find("epsilon"), SortedNameCursor::npos);
+    EXPECT_EQ(cursor.find(""), SortedNameCursor::npos);
+    EXPECT_EQ(cursor.find("zeta"), SortedNameCursor::npos);
+    EXPECT_EQ(cursor.find("delta"), 2u);
+
+    // Completeness counts distinct entries, not matches.
+    for (std::size_t i : {0u, 1u, 1u, 3u})
+        cursor.markPresent(i);
+    EXPECT_FALSE(cursor.complete());
+    cursor.markPresent(2);
+    EXPECT_TRUE(cursor.complete());
+
+    SortedNameCursor empty(std::span<const std::string_view>{});
+    EXPECT_TRUE(empty.complete());
+    EXPECT_EQ(empty.find("alpha"), SortedNameCursor::npos);
+}
