@@ -227,15 +227,11 @@ parsePmcField(std::string_view text, hwsim::PmcCounts &pmc)
         std::size_t colon = item.find(':');
         if (colon == std::string::npos)
             return false;
+        const std::string_view entry(item);
         int id = 0;
-        try {
-            id = std::stoi(item.substr(0, colon));
-        } catch (const std::exception &) {
-            return false;
-        }
         double count = 0.0;
-        if (!parseFiniteDouble(
-                std::string_view(item).substr(colon + 1), count)) {
+        if (!hwsim::parsePmcId(entry.substr(0, colon), id) ||
+            !parseFiniteDouble(entry.substr(colon + 1), count)) {
             return false;
         }
         hwsim::setPmcCount(pmc, id, count);

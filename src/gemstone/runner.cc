@@ -15,8 +15,8 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <charconv>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -27,6 +27,23 @@
 namespace gemstone::core {
 
 namespace {
+
+/**
+ * Append every EventCounts field as "<prefix><name>", in toMap()
+ * order (the decoders' cursor order), without building the map.
+ */
+void
+appendEventFields(exec::ResultStore::Fields &fields,
+                  std::string_view prefix,
+                  const uarch::EventCounts &events)
+{
+    const std::span<const std::string_view> names =
+        uarch::EventCounts::fieldNames();
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        fields.emplace_back(std::string(prefix).append(names[i]),
+                            events.fieldAt(i));
+    }
+}
 
 /**
  * Flatten a hardware measurement for the result store. The identity
@@ -49,22 +66,8 @@ encodeHwMeasurement(const hwsim::HwMeasurement &m)
     }
     for (const auto &[id, count] : m.pmc)
         fields.emplace_back("pmc_" + std::to_string(id), count);
-    for (const auto &[name, value] : m.groundTruth.toMap())
-        fields.emplace_back("gt_" + name, value);
+    appendEventFields(fields, "gt_", m.groundTruth);
     return fields;
-}
-
-/**
- * Parse a PMC id: the whole of @p digits must be a decimal int, so a
- * bit-rotted name ("pmc_x17", "pmc_17x", "pmc_") is rejected rather
- * than thrown on or aliased to another counter.
- */
-bool
-parsePmcId(std::string_view digits, int &id)
-{
-    const char *end = digits.data() + digits.size();
-    auto [ptr, ec] = std::from_chars(digits.data(), end, id);
-    return ec == std::errc() && ptr == end;
 }
 
 /**
@@ -120,7 +123,7 @@ decodeHwMeasurement(const exec::ResultStore::Fields &fields,
         } else if (name.starts_with("pmc_")) {
             // Encoded in ascending id order, so this appends.
             int id = 0;
-            if (!parsePmcId(name.substr(4), id))
+            if (!hwsim::parsePmcId(name.substr(4), id))
                 return false;
             hwsim::setPmcCount(m.pmc, id, value);
         } else if (name.starts_with("repeat_")) {
@@ -155,8 +158,7 @@ encodeG5Stats(const g5::G5Stats &stats)
     fields.emplace_back("sim_seconds", stats.simSeconds);
     for (const auto &[name, value] : stats.stats)
         fields.emplace_back(std::string("stat:").append(name), value);
-    for (const auto &[name, value] : stats.raw.toMap())
-        fields.emplace_back("raw:" + name, value);
+    appendEventFields(fields, "raw:", stats.raw);
     return fields;
 }
 

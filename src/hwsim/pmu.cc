@@ -6,6 +6,7 @@
 #include "hwsim/pmu.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -276,6 +277,14 @@ setPmcCount(PmcCounts &counts, int id, double count)
         counts.emplace(it, id, count);
 }
 
+bool
+parsePmcId(std::string_view digits, int &id)
+{
+    const char *end = digits.data() + digits.size();
+    auto [ptr, ec] = std::from_chars(digits.data(), end, id);
+    return ec == std::errc() && ptr == end;
+}
+
 const std::vector<PmcEvent> &
 PmuEventTable::events()
 {
@@ -286,11 +295,12 @@ PmuEventTable::events()
 const PmcEvent *
 PmuEventTable::find(int id)
 {
-    for (const PmcEvent &event : events()) {
-        if (event.id == id)
-            return &event;
-    }
-    return nullptr;
+    // buildTable() lists the events in strictly ascending id order.
+    const std::vector<PmcEvent> &table = events();
+    auto it = std::lower_bound(
+        table.begin(), table.end(), id,
+        [](const PmcEvent &event, int key) { return event.id < key; });
+    return it != table.end() && it->id == id ? &*it : nullptr;
 }
 
 const PmcEvent *

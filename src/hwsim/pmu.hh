@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -54,6 +55,14 @@ double pmcCount(const PmcCounts &counts, int id);
  * its last one. Ascending ids append in O(1).
  */
 void setPmcCount(PmcCounts &counts, int id, double count);
+
+/**
+ * Parse a PMC id: the whole of @p digits must be a decimal int, so a
+ * bit-rotted name ("x17", "17x", " 17", "+17", "") is rejected
+ * rather than aliased to another counter. The one id parser of the
+ * result-store and checkpoint decoders.
+ */
+bool parsePmcId(std::string_view digits, int &id);
 
 /**
  * The PMU event table.

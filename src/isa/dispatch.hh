@@ -1,18 +1,14 @@
 /**
  * @file
- * Shared micro-op dispatch for the predecoded engines.
+ * Micro-op dispatch for the predecoded fast engine.
  *
- * dispatchUop() is the single functional-execution switch used by
- * both the per-core fast engine (uarch::CoreModel::runQuantumFast)
- * and the batched multi-config driver (uarch::BatchedSystemModel):
- * it expands the inline handler definitions from isa/handlers.hh for
- * the register-only and plain memory opcodes — the very same
- * functions d.fn points at, so the dispatch routes cannot disagree —
- * and falls back to the handler table for the rare exclusive / halt
- * cases, where the indirect call is noise anyway. Keeping the switch
- * in one place is what guarantees the batched driver's architectural
- * stream is the fast engine's architectural stream, instruction for
- * instruction.
+ * dispatchUop() is the functional-execution switch of the per-core
+ * fast engine (uarch::CoreModel::runQuantumFast): it expands the
+ * inline handler definitions from isa/handlers.hh for the
+ * register-only and plain memory opcodes — the very same functions
+ * d.fn points at, so the dispatch routes cannot disagree — and falls
+ * back to the handler table for the rare exclusive / halt cases,
+ * where the indirect call is noise anyway.
  *
  * The caller must set out.nextPc = pc + 1 before dispatching (the
  * handlers only overwrite it for taken control flow).

@@ -411,10 +411,8 @@ CoreModel::runQuantumFast(std::uint64_t max_insts)
                                  : gbp->predict(pc, binfo);
             }
 
-            // Functional execution through the shared dispatch switch
-            // (isa/dispatch.hh) — the identical route the batched
-            // multi-config driver takes, so the two engines' functional
-            // streams cannot disagree.
+            // Functional execution through the dispatch switch
+            // (isa/dispatch.hh).
             isa::OpOutcome out;
             out.nextPc = pc + 1;
             isa::dispatchUop(d, cpuState, env, out);

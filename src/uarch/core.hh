@@ -171,7 +171,6 @@ struct CoreConfig
 };
 
 class ClusterModel;
-class BatchedSystemModel;
 
 /**
  * One core: architectural thread state + private micro-architecture.
@@ -241,15 +240,6 @@ class CoreModel
     ExecEngine execEngine() const { return engine; }
 
   private:
-    /**
-     * The batched multi-config engine (uarch/batch.cc) replays the
-     * shared architectural trace through this core's private timing
-     * structures, mirroring runQuantumFast's accumulation order
-     * exactly; it needs the same access to the caches/TLBs/predictor
-     * and the cached hot-state fields that the member methods have.
-     */
-    friend class BatchedSystemModel;
-
     void executeOne();
     /** Block-at-a-time quantum driver for ExecEngine::Fast. */
     std::uint64_t runQuantumFast(std::uint64_t max_insts);

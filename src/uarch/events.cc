@@ -198,34 +198,44 @@ assignField(T &field, double value)
 
 /** Assigns one EventCounts field from its toMap() double. */
 using FieldSetter = bool (*)(EventCounts &, double);
+/** Reads one EventCounts field as its toMap() double. */
+using FieldGetter = double (*)(const EventCounts &);
 
-/** Every field's name and setter, sorted by name. */
+/** Every field's name, setter and getter, sorted by name. */
 struct FieldTable
 {
     std::vector<std::string_view> names;
     std::vector<FieldSetter> setters;
+    std::vector<FieldGetter> getters;
 };
 
 const FieldTable &
 fieldTable()
 {
+    struct Field
+    {
+        std::string_view name;
+        FieldSetter setter;
+        FieldGetter getter;
+    };
     static const FieldTable table = [] {
-        std::vector<std::pair<std::string_view, FieldSetter>> fields = {
+        std::vector<Field> fields = {
 #define X(field)                                                          \
-    {#field, [](EventCounts &e, double v) {                               \
-         return assignField(e.field, v);                                  \
-     }},
+    {#field,                                                              \
+     [](EventCounts &e, double v) { return assignField(e.field, v); },    \
+     [](const EventCounts &e) { return static_cast<double>(e.field); }},
             GS_EVENT_COUNT_FIELDS(X)
 #undef X
         };
         std::sort(fields.begin(), fields.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
+                  [](const Field &a, const Field &b) {
+                      return a.name < b.name;
                   });
         FieldTable sorted;
-        for (const auto &[name, setter] : fields) {
-            sorted.names.push_back(name);
-            sorted.setters.push_back(setter);
+        for (const Field &field : fields) {
+            sorted.names.push_back(field.name);
+            sorted.setters.push_back(field.setter);
+            sorted.getters.push_back(field.getter);
         }
         return sorted;
     }();
@@ -244,6 +254,12 @@ bool
 EventCounts::setFieldAt(std::size_t index, double value)
 {
     return fieldTable().setters[index](*this, value);
+}
+
+double
+EventCounts::fieldAt(std::size_t index) const
+{
+    return fieldTable().getters[index](*this);
 }
 
 bool

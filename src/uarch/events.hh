@@ -146,6 +146,13 @@ struct EventCounts
     /** setField() of fieldNames()[@p index]. */
     bool setFieldAt(std::size_t index, double value);
 
+    /**
+     * toMap()'s value of fieldNames()[@p index]: walking the names
+     * with this getter yields toMap()'s pairs, in its order, without
+     * building the map.
+     */
+    double fieldAt(std::size_t index) const;
+
     /** Instructions per cycle (0 when no cycles). */
     double ipc() const
     {

@@ -107,10 +107,6 @@ class ClusterModel
     Cache &l2() { return sharedL2; }
     const Cache &l2() const { return sharedL2; }
 
-    /** DRAM channel. */
-    Dram &dram() { return dramModel; }
-    const Dram &dram() const { return dramModel; }
-
     /** Exclusive monitor shared by all cores. */
     isa::ExclusiveMonitor &monitor() { return exclusiveMonitor; }
 
@@ -119,9 +115,6 @@ class ClusterModel
     {
         return coreModels;
     }
-
-    /** Mutable core access (the batched engine drives cores directly). */
-    CoreModel &core(unsigned i) { return *coreModels[i]; }
 
     /**
      * Select the execution engine for every core. Takes effect at the
@@ -141,9 +134,6 @@ class ClusterModel
      * @return extra latency charged to the storing core
      */
     double storeSnoop(std::uint64_t addr, unsigned storing_core);
-
-    /** Total snoop count. */
-    std::uint64_t snoops() const { return snoopCount; }
 
     /** Total bus (L2-side) accesses observed. */
     std::uint64_t busAccesses() const;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cstdio>
 #include <cstring>
@@ -444,6 +445,14 @@ TEST_F(CampaignFlow, CorruptCheckpointIsReportedAndRerun)
                "0.5,,ok\n";
         out << "mi-dijkstra,a15,1000.000,clean,1,0,0,0,oops,1,60,"
                "1.1,0,oops,,ok\n";
+        // Otherwise valid rows whose PMC id is not a whole decimal
+        // int: each must be rejected, not resumed as PMC 17.
+        out << "mi-sha,a15,1000.000,clean,1,0,0,0,0.5,1,60,1.1,0,"
+               "0.5,17x:5,ok\n";
+        out << "mi-qsort,a15,1000.000,clean,1,0,0,0,0.5,1,60,1.1,0,"
+               "0.5,\" 17:5\",ok\n";
+        out << "mi-fft,a15,1000.000,clean,1,0,0,0,0.5,1,60,1.1,0,"
+               "0.5,+17:5,ok\n";
     }
 
     CampaignConfig policy;
@@ -456,7 +465,16 @@ TEST_F(CampaignFlow, CorruptCheckpointIsReportedAndRerun)
     EXPECT_EQ(result.resumedPoints, 0u);
     EXPECT_EQ(result.measuredPoints, 45u);
     EXPECT_EQ(result.dataset.records.size(), 45u);
-    EXPECT_GE(result.warnings.size(), 2u);
+    EXPECT_GE(result.warnings.size(), 5u);
+    for (const char *workload : {"mi-sha", "mi-qsort", "mi-fft"}) {
+        const std::string expected =
+            std::string("checkpoint: corrupt repeats/pmc field for ") +
+            workload + "; re-measuring";
+        EXPECT_NE(std::find(result.warnings.begin(),
+                            result.warnings.end(), expected),
+                  result.warnings.end())
+            << expected;
+    }
 }
 
 TEST_F(CampaignFlow, NaivePolicyAcceptsFirstMeasurement)

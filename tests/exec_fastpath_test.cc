@@ -4,11 +4,15 @@
  * reference interpreter: cycles, full EventCounts, platform PMC
  * readings (with and without fault injection), campaign checkpoint
  * bytes at any thread count, and cooperative cancellation behaviour
- * must all be indistinguishable between the two engines.
+ * must all be indistinguishable between the two engines. Also
+ * covers model reuse: a reset model, and a rewound arena handed to a
+ * tenant of a different shape, run bit-identically to fresh
+ * construction, and the warm run loop allocates nothing.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -60,12 +64,15 @@ runWith(uarch::ExecEngine engine, const uarch::ClusterConfig &config,
 /** Full bit-identity of two runs: cycles and every event count. */
 void
 expectRunsIdentical(const uarch::RunResult &reference,
-                    const uarch::RunResult &fast, const char *context)
+                    const uarch::RunResult &fast,
+                    const std::string &context)
 {
     SCOPED_TRACE(context);
     // Exact double equality is intentional: the contract is
     // bit-identical, not approximately equal.
     EXPECT_EQ(reference.cycles, fast.cycles);
+    EXPECT_EQ(reference.seconds, fast.seconds);
+    EXPECT_EQ(reference.frequencyGhz, fast.frequencyGhz);
     EXPECT_EQ(reference.instructions, fast.instructions);
     EXPECT_EQ(reference.aggregate.toMap(), fast.aggregate.toMap());
     ASSERT_EQ(reference.perCore.size(), fast.perCore.size());
@@ -75,18 +82,39 @@ expectRunsIdentical(const uarch::RunResult &reference,
             << "core " << i;
 }
 
+/** The two hardware cluster shapes, sized for one workload. */
+uarch::ClusterConfig
+bigConfig(std::uint64_t mem_bytes)
+{
+    uarch::ClusterConfig config = hwsim::trueBigConfig();
+    config.memBytes = mem_bytes;
+    return config;
+}
+
+uarch::ClusterConfig
+littleConfig(std::uint64_t mem_bytes)
+{
+    uarch::ClusterConfig config = hwsim::trueLittleConfig();
+    config.memBytes = mem_bytes;
+    return config;
+}
+
+std::uint64_t
+memBytesFor(const Workload &work)
+{
+    return std::max<std::uint64_t>(work.memBytes, 64 * 1024);
+}
+
 /** Both engines on both cluster shapes for one workload. */
 void
 crossValidate(const Workload &work)
 {
-    uarch::ClusterConfig big = hwsim::trueBigConfig();
-    big.memBytes = std::max<std::uint64_t>(work.memBytes, 64 * 1024);
+    uarch::ClusterConfig big = bigConfig(memBytesFor(work));
     expectRunsIdentical(
         runWith(uarch::ExecEngine::Reference, big, work),
         runWith(uarch::ExecEngine::Fast, big, work), "A15 config");
 
-    uarch::ClusterConfig little = hwsim::trueLittleConfig();
-    little.memBytes = big.memBytes;
+    uarch::ClusterConfig little = littleConfig(big.memBytes);
     expectRunsIdentical(
         runWith(uarch::ExecEngine::Reference, little, work),
         runWith(uarch::ExecEngine::Fast, little, work), "A7 config");
@@ -449,8 +477,7 @@ TEST(ExecFastpathReuse, ResetModelMatchesFreshModelBitIdentically)
 {
     Workload work = workload::kernels::makeStreamCopy(
         "t-reuse-stream", "test", 512, 3);
-    uarch::ClusterConfig config = hwsim::trueBigConfig();
-    config.memBytes = std::max<std::uint64_t>(work.memBytes, 64 * 1024);
+    uarch::ClusterConfig config = bigConfig(memBytesFor(work));
 
     uarch::ClusterModel fresh(config);
     work.prepareMemory(fresh.memory());
@@ -479,8 +506,7 @@ TEST(ExecFastpathReuse, WarmQuantumLoopMakesZeroHeapAllocations)
 
     Workload work = workload::kernels::makeStreamCopy(
         "t-zeroalloc-stream", "test", 512, 3);
-    uarch::ClusterConfig config = hwsim::trueBigConfig();
-    config.memBytes = std::max<std::uint64_t>(work.memBytes, 64 * 1024);
+    uarch::ClusterConfig config = bigConfig(memBytesFor(work));
 
     uarch::ClusterModel cluster(config);
     // Warm-up run: predecode cache fill, RunResult vector growth.
@@ -500,4 +526,55 @@ TEST(ExecFastpathReuse, WarmQuantumLoopMakesZeroHeapAllocations)
         << "steady-state runInto must perform zero heap allocations";
     EXPECT_EQ(after.bytes - before.bytes, 0u);
     EXPECT_GT(result.instructions, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Arena reuse across different configs: a reset arena must re-carve
+// every table (including the cache probe hints and the TLB
+// last-translation entries) bit-identically to fresh construction,
+// even when the next tenant has a different shape.
+// ---------------------------------------------------------------------
+
+TEST(BatchArena, ArenaResetAcrossDifferentConfigsIsBitIdentical)
+{
+    Workload work = workload::kernels::makeDhrystone("b-dhry", "test",
+                                                     4000);
+    std::uint64_t mem = memBytesFor(work);
+    uarch::ClusterConfig config_a = bigConfig(mem);
+    uarch::ClusterConfig config_b = littleConfig(mem);
+
+    std::vector<uarch::RunResult> expected;
+    for (const uarch::ClusterConfig *config :
+         {&config_a, &config_b}) {
+        uarch::ClusterModel standalone(*config);
+        work.prepareMemory(standalone.memory());
+        expected.push_back(
+            standalone.run(work.program, work.numThreads, 1.0));
+    }
+
+    // One arena, alternating tenants of different shapes: dirty the
+    // arena with config A, rewind, hand it to config B (and back).
+    // Any table whose initial bytes depend on what the previous
+    // tenant left behind breaks the identity.
+    Arena arena(1 << 20);
+    for (int round = 0; round < 2; ++round) {
+        {
+            uarch::ClusterModel model_a(config_a, &arena);
+            work.prepareMemory(model_a.memory());
+            expectRunsIdentical(
+                expected[0],
+                model_a.run(work.program, work.numThreads, 1.0),
+                "config A, arena round " + std::to_string(round));
+        }
+        arena.reset();
+        {
+            uarch::ClusterModel model_b(config_b, &arena);
+            work.prepareMemory(model_b.memory());
+            expectRunsIdentical(
+                expected[1],
+                model_b.run(work.program, work.numThreads, 1.0),
+                "config B, arena round " + std::to_string(round));
+        }
+        arena.reset();
+    }
 }

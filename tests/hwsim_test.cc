@@ -34,6 +34,19 @@ TEST(Pmu, EventIdsUnique)
     for (const PmcEvent &event : PmuEventTable::events())
         EXPECT_TRUE(ids.insert(event.id).second)
             << "duplicate id " << event.id;
+
+    // find() binary-searches the table, so it must stay in strictly
+    // ascending id order, and every id must find its own entry.
+    const std::vector<PmcEvent> &table = PmuEventTable::events();
+    for (std::size_t i = 1; i < table.size(); ++i) {
+        EXPECT_LT(table[i - 1].id, table[i].id)
+            << "ids out of order at index " << i;
+    }
+    for (const PmcEvent &event : table)
+        EXPECT_EQ(PmuEventTable::find(event.id), &event)
+            << pmcIdString(event.id);
+    for (int id : {-1, 0x1E, 0x3F, 0x7F, 0x1000})
+        EXPECT_EQ(PmuEventTable::find(id), nullptr) << pmcIdString(id);
 }
 
 TEST(Pmu, TableHasPaperEventCount)

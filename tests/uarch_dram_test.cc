@@ -7,10 +7,15 @@
 
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "uarch/dram.hh"
 #include "uarch/events.hh"
+#include "util/random.hh"
 
 using namespace gemstone::uarch;
 
@@ -137,6 +142,26 @@ TEST(EventCountsTest, SetFieldInvertsToMapForEveryField)
     // Setting a field again is last-wins.
     EXPECT_TRUE(e.setField("l2Misses", 12.0));
     EXPECT_EQ(e.l2Misses, 12u);
+}
+
+TEST(EventCountsTest, FieldGetterWalkEqualsToMap)
+{
+    // The store encoder walks (fieldNames()[i], fieldAt(i)) instead of
+    // building toMap(): same names, same order, same values.
+    const std::span<const std::string_view> names =
+        EventCounts::fieldNames();
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+        gemstone::Rng rng(seed);
+        EventCounts e;
+        for (std::size_t i = 0; i < names.size(); ++i)
+            ASSERT_TRUE(e.setFieldAt(i, rng.uniform(0.0, 1e12)));
+        using Pairs = std::vector<std::pair<std::string, double>>;
+        Pairs walk;
+        for (std::size_t i = 0; i < names.size(); ++i)
+            walk.emplace_back(std::string(names[i]), e.fieldAt(i));
+        const std::map<std::string, double> map = e.toMap();
+        EXPECT_EQ(walk, Pairs(map.begin(), map.end())) << "seed " << seed;
+    }
 }
 
 TEST(EventCountsTest, SetFieldRejectsUnknownNames)
