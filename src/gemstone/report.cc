@@ -21,13 +21,11 @@ namespace gemstone::core {
 namespace {
 
 powmon::PowerModel
-buildClusterPowerModel(ExperimentRunner &runner,
+buildClusterPowerModel(std::vector<powmon::PowerObservation> observations,
                        hwsim::CpuCluster cluster)
 {
-    std::vector<powmon::PowerObservation> observations =
-        runner.runPowerCharacterisation(cluster);
     powmon::PowerModelBuilder builder(
-        observations,
+        std::move(observations),
         cluster == hwsim::CpuCluster::LittleA7 ? "cortex-a7"
                                                : "cortex-a15");
     powmon::SelectionConfig selection;
@@ -48,8 +46,18 @@ generateReport(ExperimentRunner &runner, const ReportConfig &config)
     Report report;
     report.config = config;
 
-    inform("gemstone: running validation experiments");
-    report.validation = runner.runValidation(config.cluster);
+    // Both experiments run as one graph, so the power-only
+    // workloads overlap with validation instead of trailing it.
+    std::vector<powmon::PowerObservation> observations;
+    if (config.includePower) {
+        inform("gemstone: running validation and power experiments");
+        ExperimentResults results = runner.runExperiments(config.cluster);
+        report.validation = std::move(results.validation);
+        observations = std::move(results.power);
+    } else {
+        inform("gemstone: running validation experiments");
+        report.validation = runner.runValidation(config.cluster);
+    }
 
     inform("gemstone: workload clustering");
     report.clustering = clusterWorkloads(
@@ -78,9 +86,9 @@ generateReport(ExperimentRunner &runner, const ReportConfig &config)
         report.validation, config.analysisFreqMhz);
 
     if (config.includePower) {
-        inform("gemstone: power characterisation and modelling");
-        report.powerModel =
-            buildClusterPowerModel(runner, config.cluster);
+        inform("gemstone: power modelling");
+        report.powerModel = buildClusterPowerModel(
+            std::move(observations), config.cluster);
         report.powerEnergy = evaluatePowerEnergy(
             report.validation, config.analysisFreqMhz,
             report.powerModel, report.clustering);

@@ -448,10 +448,31 @@ ValidationDataset
 ExperimentRunner::runValidation(hwsim::CpuCluster cluster,
                                 const std::vector<double> &freqs_mhz)
 {
-    ValidationDataset dataset;
+    return runGraph(cluster, freqs_mhz, false).validation;
+}
+
+std::vector<powmon::PowerObservation>
+ExperimentRunner::runPowerCharacterisation(hwsim::CpuCluster cluster)
+{
+    return runGraph(cluster, {}, true).power;
+}
+
+ExperimentResults
+ExperimentRunner::runExperiments(hwsim::CpuCluster cluster)
+{
+    return runGraph(cluster, frequenciesFor(cluster), true);
+}
+
+ExperimentResults
+ExperimentRunner::runGraph(hwsim::CpuCluster cluster,
+                           const std::vector<double> &validation_freqs,
+                           bool with_power)
+{
+    ExperimentResults results;
+    ValidationDataset &dataset = results.validation;
     dataset.cluster = cluster;
     dataset.g5Version = runnerConfig.g5Version;
-    dataset.freqsMhz = freqs_mhz;
+    dataset.freqsMhz = validation_freqs;
 
     // Worker processes replay through the memoisation layer, so a
     // prewarmed run needs a store even if the caller attached none.
@@ -459,41 +480,72 @@ ExperimentRunner::runValidation(hwsim::CpuCluster cluster,
         attachResultStore(std::make_shared<exec::ResultStore>());
 
     const Deadline deadline = runDeadlineFor(runnerConfig);
-    std::vector<PointSpec> specs;
+    std::vector<PointSpec> validation;
     for (const workload::Workload *work :
          workload::Suite::validationSet()) {
-        for (double freq : freqs_mhz)
-            specs.push_back({work, freq});
+        for (double freq : validation_freqs)
+            validation.push_back({work, freq});
+    }
+    std::vector<PointSpec> power;
+    if (with_power) {
+        for (const workload::Workload &work : workload::Suite::all()) {
+            for (double freq : frequenciesFor(cluster))
+                power.push_back({&work, freq});
+        }
+    }
+    // The validation point, by index, that measures the same hardware
+    // point as a power point; the power points without one are the
+    // power-only workloads (every point when validation is not part
+    // of this run).
+    std::map<std::pair<const workload::Workload *, double>, std::size_t>
+        validated;
+    for (std::size_t i = 0; i < validation.size(); ++i)
+        validated.try_emplace({validation[i].work, validation[i].freq},
+                              i);
+    std::vector<PointSpec> power_only;
+    for (const PointSpec &spec : power) {
+        if (!validated.count({spec.work, spec.freq}))
+            power_only.push_back(spec);
     }
 
     if (runnerConfig.workers > 1) {
         std::vector<PrewarmSpec> prewarm;
-        prewarm.reserve(specs.size());
-        for (const PointSpec &spec : specs)
+        prewarm.reserve(validation.size() + power_only.size());
+        for (const PointSpec &spec : validation)
             prewarm.push_back({spec.work, spec.freq, true});
+        for (const PointSpec &spec : power_only)
+            prewarm.push_back({spec.work, spec.freq, false});
         prewarmStore(cluster, prewarm, deadline);
     }
 
-    // Records are gathered by point index: the dataset order never
-    // depends on completion order. Declared before the graph so the
-    // storage outlives any in-flight node.
-    std::vector<ValidationRecord> records(specs.size());
+    // Records and observations are gathered by point index: their
+    // order never depends on completion order. Declared before the
+    // graph so the storage outlives any in-flight node.
+    std::vector<ValidationRecord> records(validation.size());
+    std::vector<powmon::PowerObservation> observations(power.size());
     exec::TaskGraph graph;
     BaseRunNodes base(*this, graph, cluster, runnerConfig.cancel,
-                      deadline, "validation");
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const PointSpec &spec = specs[i];
-        graph.add("hw:" + spec.work->name,
-                  [this, &records, spec, cluster, i, deadline] {
-                      CoopScope scope(runnerConfig.cancel, deadline,
-                                      "validation");
-                      records[i].work = spec.work;
-                      records[i].cluster = cluster;
-                      records[i].freqMhz = spec.freq;
-                      records[i].hw = measureHw(*spec.work, cluster,
-                                                spec.freq, 0);
-                  },
-                  base.depsFor(BaseEngine::Hw, *spec.work, spec.freq));
+                      deadline, "base run");
+    // The power-only workloads' base runs get the lowest ids, so the
+    // pool starts them first and they overlap with the validation
+    // work instead of trailing it (DESIGN.md §10).
+    for (const PointSpec &spec : power_only)
+        base.depsFor(BaseEngine::Hw, *spec.work, spec.freq);
+    std::vector<exec::TaskGraph::NodeId> validation_hw(validation.size());
+    for (std::size_t i = 0; i < validation.size(); ++i) {
+        const PointSpec &spec = validation[i];
+        validation_hw[i] = graph.add(
+            "hw:" + spec.work->name,
+            [this, &records, spec, cluster, i, deadline] {
+                CoopScope scope(runnerConfig.cancel, deadline,
+                                "validation");
+                records[i].work = spec.work;
+                records[i].cluster = cluster;
+                records[i].freqMhz = spec.freq;
+                records[i].hw = measureHw(*spec.work, cluster, spec.freq,
+                                          0);
+            },
+            base.depsFor(BaseEngine::Hw, *spec.work, spec.freq));
         graph.add("g5:" + spec.work->name,
                   [this, &records, spec, cluster, i, deadline] {
                       CoopScope scope(runnerConfig.cancel, deadline,
@@ -503,38 +555,12 @@ ExperimentRunner::runValidation(hwsim::CpuCluster cluster,
                   },
                   base.depsFor(BaseEngine::G5, *spec.work, spec.freq));
     }
-    graph.runWithJobs(runnerConfig.jobs, runnerConfig.cancel);
-    dataset.records = std::move(records);
-    return dataset;
-}
-
-std::vector<powmon::PowerObservation>
-ExperimentRunner::runPowerCharacterisation(hwsim::CpuCluster cluster)
-{
-    if (runnerConfig.workers > 1 && !store)
-        attachResultStore(std::make_shared<exec::ResultStore>());
-
-    const Deadline deadline = runDeadlineFor(runnerConfig);
-    std::vector<PointSpec> specs;
-    for (const workload::Workload &work : workload::Suite::all()) {
-        for (double freq : frequenciesFor(cluster))
-            specs.push_back({&work, freq});
-    }
-
-    if (runnerConfig.workers > 1) {
-        std::vector<PrewarmSpec> prewarm;
-        prewarm.reserve(specs.size());
-        for (const PointSpec &spec : specs)
-            prewarm.push_back({spec.work, spec.freq, false});
-        prewarmStore(cluster, prewarm, deadline);
-    }
-
-    std::vector<powmon::PowerObservation> observations(specs.size());
-    exec::TaskGraph graph;
-    BaseRunNodes base(*this, graph, cluster, runnerConfig.cancel,
-                      deadline, "power");
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const PointSpec &spec = specs[i];
+    for (std::size_t i = 0; i < power.size(); ++i) {
+        const PointSpec &spec = power[i];
+        // A point validation also measures waits for that node, so
+        // with a store attached it is one hit, never a second miss
+        // racing the first.
+        auto shared = validated.find({spec.work, spec.freq});
         graph.add("hw:" + spec.work->name,
                   [this, &observations, spec, cluster, i, deadline] {
                       CoopScope scope(runnerConfig.cancel, deadline,
@@ -542,10 +568,15 @@ ExperimentRunner::runPowerCharacterisation(hwsim::CpuCluster cluster)
                       observations[i].measurement = measureHw(
                           *spec.work, cluster, spec.freq, 0);
                   },
-                  base.depsFor(BaseEngine::Hw, *spec.work, spec.freq));
+                  shared != validated.end()
+                      ? std::vector{validation_hw[shared->second]}
+                      : base.depsFor(BaseEngine::Hw, *spec.work,
+                                     spec.freq));
     }
     graph.runWithJobs(runnerConfig.jobs, runnerConfig.cancel);
-    return observations;
+    dataset.records = std::move(records);
+    results.power = std::move(observations);
+    return results;
 }
 
 BaseRunNodes::BaseRunNodes(ExperimentRunner &runner,

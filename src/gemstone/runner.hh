@@ -63,11 +63,19 @@ struct RunnerConfig
      */
     CancellationToken cancel;
     /**
-     * Wall-clock budget for one experiment run (runValidation /
-     * runPowerCharacterisation); 0 means unlimited. Expiry unwinds
+     * Wall-clock budget for one experiment run (runValidation,
+     * runPowerCharacterisation or runExperiments, which spends one
+     * budget on both experiments); 0 means unlimited. Expiry unwinds
      * with DeadlineError.
      */
     double runDeadlineSeconds = 0.0;
+};
+
+/** What Experiments 1-4 return for one cluster. */
+struct ExperimentResults
+{
+    ValidationDataset validation;
+    std::vector<powmon::PowerObservation> power;
 };
 
 /**
@@ -105,6 +113,17 @@ class ExperimentRunner
      */
     std::vector<powmon::PowerObservation> runPowerCharacterisation(
         hwsim::CpuCluster cluster);
+
+    /**
+     * Experiments 1-4 as one graph: the validation set at every DVFS
+     * point of the cluster plus power characterisation of all 65
+     * workloads. Returns exactly what runValidation(cluster) and
+     * runPowerCharacterisation(cluster) return, with one prewarm and
+     * one base run per (engine, workload) for both; the power-only
+     * workloads' base runs are scheduled first, so they overlap with
+     * the validation work instead of trailing it.
+     */
+    ExperimentResults runExperiments(hwsim::CpuCluster cluster);
 
     /**
      * Attach a memoisation store: hardware measurements and g5 runs
@@ -181,6 +200,17 @@ class ExperimentRunner
     void prewarmStore(hwsim::CpuCluster cluster,
                       const std::vector<PrewarmSpec> &specs,
                       const Deadline &deadline);
+
+    /**
+     * The one experiment graph behind the entry points: validation
+     * points at @p validation_freqs (none when empty) and, with
+     * @p with_power, the power points at every DVFS point, sharing
+     * one prewarm and one BaseRunNodes. Results are gathered by
+     * point index.
+     */
+    ExperimentResults runGraph(hwsim::CpuCluster cluster,
+                               const std::vector<double> &validation_freqs,
+                               bool with_power);
 
     /** Store key of one hardware measurement attempt. */
     std::string hwKey(const workload::Workload &work,

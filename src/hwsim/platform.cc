@@ -258,13 +258,13 @@ boardCoefficients(PowerCoefficients base, std::uint64_t seed,
     return perturbCoefficients(base, rng, variation);
 }
 
+} // namespace
+
 /**
- * Thread-local pool of warm cluster models, keyed by cluster shape
- * and workload memory size. Each model carves its tables from the
- * thread's arena (threadArena()), so a campaign thread builds a
- * given (cluster, memBytes) model exactly once; every later base run
- * reuses it through reset() + memory().clear(), which restores
- * bit-identical fresh-model state without touching the heap
+ * One warm model per (thread, cluster shape), its tables carved from
+ * the thread's arena (threadArena()), so a thread builds a cluster's
+ * model once. Reuse is reset() + memory().resize(): memory size feeds
+ * only the data memory, so one model serves every workload size
  * (enforced by tests/exec_fastpath_test.cc). The engine selection is
  * re-applied on reuse because a freshly constructed model reads the
  * process-wide default at construction time.
@@ -275,14 +275,13 @@ pooledModel(CpuCluster cluster, std::uint64_t mem_bytes)
     struct PoolEntry
     {
         CpuCluster cluster;
-        std::uint64_t memBytes;
         std::unique_ptr<uarch::ClusterModel> model;
     };
     thread_local std::vector<PoolEntry> pool;
     for (PoolEntry &entry : pool) {
-        if (entry.cluster == cluster && entry.memBytes == mem_bytes) {
+        if (entry.cluster == cluster) {
             entry.model->reset();
-            entry.model->memory().clear();
+            entry.model->memory().resize(mem_bytes);
             entry.model->setExecEngine(uarch::defaultExecEngine());
             return *entry.model;
         }
@@ -291,13 +290,10 @@ pooledModel(CpuCluster cluster, std::uint64_t mem_bytes)
         ? trueLittleConfig()
         : trueBigConfig();
     config.memBytes = mem_bytes;
-    pool.push_back({cluster, mem_bytes,
-                    std::make_unique<uarch::ClusterModel>(
-                        config, &threadArena())});
+    pool.push_back({cluster, std::make_unique<uarch::ClusterModel>(
+                                 config, &threadArena())});
     return *pool.back().model;
 }
-
-} // namespace
 
 OdroidXu3Platform::OdroidXu3Platform(std::uint64_t seed,
                                      double board_variation)

@@ -55,6 +55,16 @@ uarch::ClusterConfig trueBigConfig();
 /** The true micro-architecture of the Cortex-A7 cluster. */
 uarch::ClusterConfig trueLittleConfig();
 
+/**
+ * The calling thread's warm model of @p cluster, reset and with its
+ * data memory zeroed and sized for @p mem_bytes: it runs
+ * bit-identically to a fresh ClusterModel of that cluster's true
+ * config with memBytes = @p mem_bytes. The thread's next call for the
+ * same cluster resets the same model again.
+ */
+uarch::ClusterModel &pooledModel(CpuCluster cluster,
+                                 std::uint64_t mem_bytes);
+
 /** One measured observation of a workload on the platform. */
 struct HwMeasurement
 {

@@ -5,8 +5,9 @@
 
 #include "isa/memory.hh"
 
-#include <algorithm>
 #include <bit>
+#include <cstdlib>
+#include <cstring>
 
 #include "util/logging.hh"
 
@@ -14,9 +15,21 @@ namespace gemstone::isa {
 
 Memory::Memory(std::uint64_t size_bytes)
 {
+    resize(size_bytes);
+}
+
+void
+Memory::resize(std::uint64_t size_bytes)
+{
     panic_if(size_bytes == 0, "memory size must be non-zero");
     std::uint64_t rounded = std::bit_ceil(size_bytes);
-    bytes.assign(rounded, 0);
+    // calloc rather than a zero fill: a large buffer comes straight
+    // from fresh zero pages, so the part of a rounded-up size that a
+    // workload never touches is never made resident, and a memory
+    // reused for a smaller workload gives the larger one's pages back.
+    bytes.reset(static_cast<std::uint8_t *>(std::calloc(rounded, 1)));
+    fatal_if(!bytes, "cannot allocate ", rounded,
+             " bytes of workload memory");
     addrMask = rounded - 1;
 }
 
@@ -44,7 +57,7 @@ Memory::writeSlow(std::uint64_t addr, std::uint64_t value,
 void
 Memory::clear()
 {
-    std::fill(bytes.begin(), bytes.end(), 0);
+    resize(size());
 }
 
 void

@@ -8,8 +8,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
-#include <vector>
+#include <memory>
 
 namespace gemstone::isa {
 
@@ -26,7 +27,7 @@ class Memory
     /** Allocate zeroed memory; size is rounded up to a power of two. */
     explicit Memory(std::uint64_t size_bytes);
 
-    std::uint64_t size() const { return bytes.size(); }
+    std::uint64_t size() const { return addrMask + 1; }
 
     /** Mask an address into range. */
     std::uint64_t mask(std::uint64_t addr) const
@@ -48,9 +49,9 @@ class Memory
     {
         if constexpr (std::endian::native == std::endian::little) {
             std::uint64_t a = mask(addr);
-            if (size == 8 && a + 8 <= bytes.size()) [[likely]] {
+            if (size == 8 && a + 8 <= addrMask + 1) [[likely]] {
                 std::uint64_t value;
-                std::memcpy(&value, bytes.data() + a, 8);
+                std::memcpy(&value, bytes.get() + a, 8);
                 return value;
             }
             if (size == 1)
@@ -64,8 +65,8 @@ class Memory
     {
         if constexpr (std::endian::native == std::endian::little) {
             std::uint64_t a = mask(addr);
-            if (size == 8 && a + 8 <= bytes.size()) [[likely]] {
-                std::memcpy(bytes.data() + a, &value, 8);
+            if (size == 8 && a + 8 <= addrMask + 1) [[likely]] {
+                std::memcpy(bytes.get() + a, &value, 8);
                 return;
             }
             if (size == 1) {
@@ -86,13 +87,25 @@ class Memory
     /** Zero the whole memory. */
     void clear();
 
+    /**
+     * Replace the contents with zeroed memory of the size a fresh
+     * Memory(size_bytes) has.
+     */
+    void resize(std::uint64_t size_bytes);
+
   private:
     /** Generic byte loop: wrap-around accesses, size checks. */
     std::uint64_t readSlow(std::uint64_t addr, unsigned size);
     void writeSlow(std::uint64_t addr, std::uint64_t value,
                    unsigned size);
 
-    std::vector<std::uint8_t> bytes;
+    struct FreeBytes
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
+    /** calloc'd (see resize()); size() bytes long. */
+    std::unique_ptr<std::uint8_t[], FreeBytes> bytes;
     std::uint64_t addrMask = 0;
 };
 

@@ -20,7 +20,10 @@
 
 #include "isa/handlers.hh"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <functional>
 #include <cstring>
 #include <deque>
 #include <mutex>
@@ -78,11 +81,25 @@ execHalt(const DecodedOp &, CpuState &s, const ExecEnv &, OpOutcome &out)
 
 constexpr std::uint16_t branchFlags = UopBranch | UopEndsBlock;
 
-constexpr OpInfoTable kOpInfoTable = [] {
-    OpInfoTable t{};
-    auto set = [&t](Opcode op, ExecHandler fn, OpClass cls,
+/**
+ * The dispatch table plus which opcodes set() filled. Presence is
+ * recorded as a bool rather than tested as fn != nullptr, because a
+ * handler address is not a constant expression in every build (GCC
+ * sanitizer builds reject the comparison).
+ */
+struct OpInfoTableBuild
+{
+    OpInfoTable table{};
+    std::array<bool, numOpcodes> present{};
+};
+
+constexpr OpInfoTableBuild kOpInfoBuild = [] {
+    OpInfoTableBuild b;
+    auto set = [&b](Opcode op, ExecHandler fn, OpClass cls,
                     std::uint16_t flags, std::uint8_t mem_size) {
-        t[static_cast<unsigned>(op)] = OpInfo{fn, cls, flags, mem_size};
+        b.table[static_cast<unsigned>(op)] =
+            OpInfo{fn, cls, flags, mem_size};
+        b.present[static_cast<unsigned>(op)] = true;
     };
 
     set(Opcode::Add, execAdd, OpClass::IntAlu, 0, 0);
@@ -143,20 +160,10 @@ constexpr OpInfoTable kOpInfoTable = [] {
 
     set(Opcode::Nop, execNothing, OpClass::Nop, 0, 0);
     set(Opcode::Halt, execHalt, OpClass::Halt, UopEndsBlock, 0);
-    return t;
+    return b;
 }();
 
-constexpr bool
-allHandlersPresent(const OpInfoTable &t)
-{
-    for (const OpInfo &info : t) {
-        if (info.fn == nullptr)
-            return false;
-    }
-    return true;
-}
-
-static_assert(allHandlersPresent(kOpInfoTable),
+static_assert(std::ranges::all_of(kOpInfoBuild.present, std::identity{}),
               "every opcode needs a dispatch-table entry");
 
 } // namespace
@@ -164,7 +171,7 @@ static_assert(allHandlersPresent(kOpInfoTable),
 const OpInfoTable &
 opInfoTable()
 {
-    return kOpInfoTable;
+    return kOpInfoBuild.table;
 }
 
 PredecodedProgram::PredecodedProgram(const Program &program)

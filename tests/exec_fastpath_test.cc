@@ -5,14 +5,16 @@
  * readings (with and without fault injection), campaign checkpoint
  * bytes at any thread count, and cooperative cancellation behaviour
  * must all be indistinguishable between the two engines. Also
- * covers model reuse: a reset model, and a rewound arena handed to a
- * tenant of a different shape, run bit-identically to fresh
+ * covers model reuse: a reset model, the thread's pooled model across
+ * workloads of different memory sizes, and a rewound arena handed to
+ * a tenant of a different shape, run bit-identically to fresh
  * construction, and the warm run loop allocates nothing.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -495,6 +497,37 @@ TEST(ExecFastpathReuse, ResetModelMatchesFreshModelBitIdentically)
         uarch::RunResult again;
         reused.runInto(work.program, work.numThreads, 1.0, again);
         expectRunsIdentical(baseline, again, "reset-vs-fresh round");
+    }
+}
+
+TEST(ExecFastpathReuse, PooledModelResizesMemoryPerWorkload)
+{
+    // The thread's one pooled A15 model serves a 16 MB workload, a
+    // 64 KB one and the 16 MB one again: each run must match a fresh
+    // model sized for that workload, memory size included.
+    const Workload &big = Suite::byName("lm-lat-mem-rd-dram");
+    Workload small = workload::kernels::makeStreamCopy(
+        "t-pooled-small", "test", 512, 3);
+    ASSERT_GT(big.memBytes, 16u << 20);
+    ASSERT_LE(memBytesFor(small), 64u * 1024);
+
+    const Workload *order[] = {&big, &small, &big};
+    for (const Workload *work : order) {
+        SCOPED_TRACE(work->name);
+        const std::uint64_t mem_bytes = memBytesFor(*work);
+        uarch::ClusterModel fresh(bigConfig(mem_bytes));
+        work->prepareMemory(fresh.memory());
+        uarch::RunResult expected =
+            fresh.run(work->program, work->numThreads, 1.0);
+
+        uarch::ClusterModel &pooled =
+            hwsim::pooledModel(hwsim::CpuCluster::BigA15, mem_bytes);
+        EXPECT_EQ(pooled.memory().size(), fresh.memory().size());
+        EXPECT_EQ(pooled.memory().size(), std::bit_ceil(mem_bytes));
+        work->prepareMemory(pooled.memory());
+        uarch::RunResult again;
+        pooled.runInto(work->program, work->numThreads, 1.0, again);
+        expectRunsIdentical(expected, again, "pooled vs fresh");
     }
 }
 

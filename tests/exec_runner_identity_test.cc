@@ -3,22 +3,27 @@
  * Runner-level byte identity: ExperimentRunner::runValidation plus
  * runPowerCharacterisation must produce the same datasets and power
  * observations at any thread count, with no result store, an empty
- * one or a warm one, with fault injection off and on. Base runs are
- * graph nodes of their own (BaseRunNodes); a warm store must skip
- * them entirely, so a warm run simulates nothing.
+ * one or a warm one, with fault injection off and on, and
+ * runExperiments (both experiments as one graph) must return exactly
+ * what the two separate calls do. Base runs are graph nodes of their
+ * own (BaseRunNodes); a warm store must skip them entirely, so a warm
+ * run simulates nothing.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/resultstore.hh"
 #include "gemstone/runner.hh"
 #include "hwsim/faults.hh"
 #include "isa/predecode.hh"
+#include "util/cancellation.hh"
 #include "util/strutil.hh"
 
 using namespace gemstone;
@@ -77,6 +82,9 @@ struct RunSpec
     unsigned jobs = 1;
     bool faults = false;
     std::shared_ptr<exec::ResultStore> store;
+    /** One runExperiments graph instead of the two entry points. */
+    bool combined = false;
+    unsigned workers = 0;
 };
 
 RunnerOutput
@@ -84,6 +92,7 @@ runBoth(const RunSpec &spec)
 {
     RunnerConfig config;
     config.jobs = spec.jobs;
+    config.workers = spec.workers;
     config.repeats = 3;
     ExperimentRunner runner(config);
     if (spec.faults)
@@ -92,7 +101,14 @@ runBoth(const RunSpec &spec)
         runner.attachResultStore(spec.store);
 
     RunnerOutput output;
-    ValidationDataset dataset = runner.runValidation(kCluster);
+    ExperimentResults results;
+    if (spec.combined) {
+        results = runner.runExperiments(kCluster);
+    } else {
+        results.validation = runner.runValidation(kCluster);
+        results.power = runner.runPowerCharacterisation(kCluster);
+    }
+    const ValidationDataset &dataset = results.validation;
     output.validationCsv = dataset.toCsv();
     std::ostringstream records;
     for (const ValidationRecord &record : dataset.records) {
@@ -105,10 +121,8 @@ runBoth(const RunSpec &spec)
     output.records = records.str();
 
     std::ostringstream observations;
-    for (const powmon::PowerObservation &obs :
-         runner.runPowerCharacterisation(kCluster)) {
+    for (const powmon::PowerObservation &obs : results.power)
         render(observations, obs.measurement);
-    }
     output.observations = observations.str();
 
     const hwsim::FaultInjector::Tally &tally =
@@ -190,6 +204,80 @@ TEST(ExecRunnerIdentity, FaultedRunsAreByteIdenticalAcrossSchedules)
     RunnerOutput reference = checkMatrix(true, 2, 4);
     // The faults must actually bite for this to prove anything.
     EXPECT_GT(reference.faultsFired, 0u);
+}
+
+TEST(ExecRunnerIdentity, CombinedGraphMatchesSeparateRuns)
+{
+    // One graph for both experiments reorders the nodes (power-only
+    // base runs first, shared base nodes, power points behind the
+    // validation point they share a measurement with); the results
+    // must not move.
+    const RunnerOutput reference = runBoth({1, false, nullptr});
+    for (unsigned jobs : {1u, 4u}) {
+        const std::string tag = "combined jobs=" + std::to_string(jobs);
+        auto store = std::make_shared<exec::ResultStore>();
+        expectIdentical(reference, runBoth({jobs, false, store, true}),
+                        tag + " cold store");
+        // Each key was simulated and inserted once: a power point
+        // never races its validation twin to a second miss.
+        const exec::ResultStore::Stats cold = store->stats();
+        EXPECT_EQ(cold.insertions, store->size()) << tag;
+        EXPECT_EQ(cold.misses, store->size()) << tag;
+
+        const std::uint64_t lookups_before = predecodeLookups();
+        expectIdentical(reference, runBoth({jobs, false, store, true}),
+                        tag + " warm store");
+        EXPECT_EQ(predecodeLookups() - lookups_before, 0u) << tag;
+        EXPECT_EQ(store->stats().insertions, cold.insertions) << tag;
+    }
+    expectIdentical(reference,
+                    runBoth({2, false, nullptr, true, /*workers=*/2}),
+                    "combined jobs=2 workers=2");
+}
+
+TEST(ExecRunnerIdentity, CombinedGraphCancelsMidGraph)
+{
+    // jobs=1 runs the graph on this thread, so a poll hook sees every
+    // cooperative checkpoint: cancel at the first one after the first
+    // store insertion, i.e. after some nodes have completed.
+    {
+        RunnerConfig config;
+        config.repeats = 3;
+        ExperimentRunner runner(config);
+        auto store = std::make_shared<exec::ResultStore>();
+        runner.attachResultStore(store);
+        setCoopPollHook(
+            [store, token = config.cancel]() mutable {
+                if (store->size() > 0)
+                    token.requestCancel();
+            },
+            0.0);
+        EXPECT_THROW(runner.runExperiments(kCluster), CancelledError);
+        clearCoopPollHook();
+        EXPECT_GT(store->size(), 0u);
+    }
+    // jobs=4: a watchdog thread cancels once the pool has finished a
+    // point, while the rest of the graph is still in flight.
+    {
+        RunnerConfig config;
+        config.jobs = 4;
+        config.repeats = 3;
+        ExperimentRunner runner(config);
+        auto store = std::make_shared<exec::ResultStore>();
+        runner.attachResultStore(store);
+        std::thread watchdog([store, token = config.cancel]() mutable {
+            const auto give_up = std::chrono::steady_clock::now() +
+                std::chrono::seconds(60);
+            while (store->size() == 0 &&
+                   std::chrono::steady_clock::now() < give_up) {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(200));
+            }
+            token.requestCancel();
+        });
+        EXPECT_THROW(runner.runExperiments(kCluster), CancelledError);
+        watchdog.join();
+    }
 }
 
 TEST(ExecRunnerIdentity, RunFailureIsIdenticalAcrossSchedules)
