@@ -14,7 +14,10 @@
  * byte for byte, and every loaded entry must match the original bit
  * for bit. Then it times both directions (best of --repeats; save
  * includes the tmp + fsync + rename) and counts heap allocations per
- * row with MallocTally.
+ * row with MallocTally. A "clean_save" row saves each freshly loaded
+ * store back to the file it came from, which must write nothing: the
+ * bench fails if that file's inode or mtime changes. The "save" row
+ * writes to another file, a real rewrite.
  *
  * A second case times store hits, the decode cost of a point in a
  * warm daemon campaign: it fills a store with one default campaign
@@ -27,7 +30,7 @@
  * reports its time and heap allocations per point.
  *
  * Emits BENCH_store_io.json in the shared benchjson.hh shape. With
- * --check <baseline.json> the bench fails when either direction's
+ * --check <baseline.json> the bench fails when any store op's
  * allocs_per_row, either hit kind's allocs_per_hit, or the warm
  * campaign's allocs_per_point exceeds the baseline's. Allocation
  * counts are deterministic and host-speed
@@ -53,6 +56,7 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <sys/stat.h>
 #include <unistd.h>
 #include <vector>
 
@@ -272,6 +276,17 @@ timeStoreHits(unsigned repeats)
     return {hw, g5, campaign};
 }
 
+/** The inode and mtime of @p path, which any rewrite changes. */
+std::pair<ino_t, std::int64_t>
+fileVersion(const std::string &path)
+{
+    struct stat st{};
+    fatal_if(::stat(path.c_str(), &st) != 0, "cannot stat ", path);
+    return {st.st_ino,
+            static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+                st.st_mtim.tv_nsec};
+}
+
 /** Round to the 4 decimals the JSON carries, so checks compare like
  *  with like. */
 double
@@ -350,6 +365,7 @@ main(int argc, char **argv)
     // ---- timing and allocation counts ------------------------------
     const bool tally_active = mallocTallyActive();
     OpResult load{"load"};
+    OpResult clean_save{"clean_save"};
     OpResult save{"save"};
     for (unsigned rep = 0; rep < repeats; ++rep) {
         exec::ResultStore store(entries.size());
@@ -360,6 +376,16 @@ main(int argc, char **argv)
             std::min(load.bestSeconds, secondsSince(load_start));
         load.allocs = mallocTally().allocs - before_load.allocs;
         fatal_if(loaded != entries.size(), "timed load lost entries");
+
+        const auto version = fileVersion(first_path);
+        const MallocTallySnapshot before_clean = mallocTally();
+        const auto clean_start = std::chrono::steady_clock::now();
+        fatal_if(!store.saveCsv(first_path).ok(), "clean save failed");
+        clean_save.bestSeconds =
+            std::min(clean_save.bestSeconds, secondsSince(clean_start));
+        clean_save.allocs = mallocTally().allocs - before_clean.allocs;
+        fatal_if(fileVersion(first_path) != version,
+                 "saving an unchanged store rewrote its file");
 
         const MallocTallySnapshot before_save = mallocTally();
         const auto save_start = std::chrono::steady_clock::now();
@@ -383,7 +409,7 @@ main(int argc, char **argv)
     json.setScalar("rows", std::to_string(rows));
     json.setScalar("bytes", std::to_string(first.size()));
     json.setScalar("round_trip_identical", true);
-    for (const OpResult *r : {&load, &save}) {
+    for (const OpResult *r : {&load, &clean_save, &save}) {
         const double mb_per_s = megabytes / r->bestSeconds;
         table.addRow({r->op, formatDouble(r->bestSeconds * 1e3, 2),
                       formatDouble(mb_per_s, 1),
@@ -458,7 +484,7 @@ main(int argc, char **argv)
                       << formatDouble(it->second, 4) << "\n";
             regressed = true;
         };
-        for (const OpResult *r : {&load, &save})
+        for (const OpResult *r : {&load, &clean_save, &save})
             gate(per_row, r->op, "allocs/row", r->allocsPerRow(rows));
         for (const HitResult &r : hits) {
             gate(r.unit == "hit" ? per_hit : per_point, r.op,

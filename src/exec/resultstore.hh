@@ -19,6 +19,15 @@
  * included), which is what makes a warm-cache campaign
  * byte-identical to a cold one.
  *
+ * The store file is line-framed: one `key,field,value` row per line,
+ * rows of one entry contiguous, and saveCsv() writes entries sorted by
+ * key. Keys and field names therefore cannot hold a newline; insert()
+ * rejects them. One single-pass decoder (decodeCsvFile()) reads both
+ * saveCsv() files and the shared tier's appended rows.
+ *
+ * A save that would rewrite the file the store was loaded from with
+ * the same bytes is skipped (see saveCsv()).
+ *
  * Payloads are immutable and shared: an entry holds a
  * std::shared_ptr<const Fields> built once when the entry is
  * inserted, and a hit hands out another reference to it rather than
@@ -36,15 +45,19 @@
 #define GEMSTONE_EXEC_RESULTSTORE_HH
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "util/status.hh"
+
+struct stat;
 
 namespace gemstone::exec {
 
@@ -78,7 +91,7 @@ class ResultStore
     ~ResultStore();
 
     /** FNV-1a 64-bit hash — the content address of a key string. */
-    static std::uint64_t fnv1a(const std::string &text);
+    static std::uint64_t fnv1a(std::string_view text);
 
     /**
      * Look up a key; on a hit the entry becomes most-recently-used
@@ -100,8 +113,13 @@ class ResultStore
      */
     bool contains(const std::string &key);
 
-    /** Insert (or overwrite) a key, evicting LRU entries as needed. */
-    void insert(const std::string &key, Fields fields);
+    /**
+     * Insert (or overwrite) a key, evicting LRU entries as needed.
+     * A key or field name holding a newline cannot be framed as one
+     * store row: it is rejected with a warning, nothing is stored and
+     * false is returned.
+     */
+    bool insert(const std::string &key, Fields fields);
 
     std::size_t size() const;
     std::size_t capacity() const { return maxEntries; }
@@ -110,19 +128,24 @@ class ResultStore
     void clear();
 
     /**
-     * Merge entries from a CSV previously written by saveCsv();
-     * returns the number of entries loaded. A missing file loads
-     * nothing; malformed rows are skipped with a warning. A file
-     * without the trailing integrity marker, or with a truncated
-     * final row (a torn write from an older or crashed process), is
-     * loaded with a warning — memoised results are an optimisation,
-     * so salvage beats refusal. A final row without its newline
-     * counts as torn even when it parses, and a torn final row takes
-     * its whole entry with it, so a cut inside a row never loads a
-     * wrong or partial entry. A cut exactly at a row boundary of a
-     * marker-less file looks complete and can still load a partial
-     * last entry; the runner's decoders require the complete schema,
-     * so such an entry is re-measured rather than decoded.
+     * Merge entries from a store file written by saveCsv() or by the
+     * shared tier; returns the number of entries loaded. A missing
+     * file loads nothing. decodeCsvFile() reads the rows: a file
+     * without the header loads nothing, a malformed row or value
+     * poisons only its entry, and a torn final row takes the entry in
+     * progress with it, so a cut inside a row never loads a wrong or
+     * partial entry. Each problem, and a missing integrity marker, is
+     * warned about — memoised results are an optimisation, so salvage
+     * beats refusal. A cut exactly at a row boundary of a marker-less
+     * file looks complete and can still load a partial last entry;
+     * the runner's decoders require the complete schema, so such an
+     * entry is re-measured rather than decoded.
+     *
+     * When the file is canonical (marker, no torn, malformed or
+     * poisoned row, keys strictly ascending) and the load leaves
+     * exactly its entries resident (none evicted, no entry from
+     * before the load left), the store records the file's identity,
+     * so an unchanged store is not rewritten (see saveCsv()).
      */
     std::size_t loadCsv(const std::string &path);
 
@@ -131,6 +154,13 @@ class ResultStore
      * deterministic. The write is atomic (tmp + fsync + rename) and
      * ends with the integrity marker; a crash leaves the previous
      * complete file, never a torn one.
+     *
+     * A clean save writes nothing: when @p path is still the file the
+     * store last loaded canonically or saved (same device, inode,
+     * size, mtime and ctime) and no entry was inserted, evicted,
+     * absorbed or cleared since, the file already decodes to exactly
+     * the resident entries and Ok is returned at once. Any other file
+     * is always written.
      */
     Status saveCsv(const std::string &path) const;
 
@@ -141,6 +171,54 @@ class ResultStore
      */
     static void appendCsvRows(std::string &out, const std::string &key,
                               const Fields &fields);
+
+    /** The header line of a store file, without its newline. */
+    static constexpr std::string_view kCsvHeader = "key,field,value";
+
+    /** What decodeCsvFile() found. */
+    struct RowScan
+    {
+        /** Bytes of whole lines consumed, up to the last complete
+         *  entry. */
+        std::size_t consumed = 0;
+        /** Decoding started at byte 0 and the first line is not the
+         *  header: nothing was decoded. */
+        bool badHeader = false;
+        /** The integrity marker comment was seen. */
+        bool marker = false;
+        /** The file ends inside a data row (a torn write). */
+        bool torn = false;
+        /** A row was malformed, had a bad value or an empty key. */
+        bool malformed = false;
+        /** Entry keys were strictly ascending (hence unique). */
+        bool ascending = true;
+    };
+
+    /**
+     * Receives one decoded entry: its key and its fields, or nullptr
+     * when a row of the entry was malformed (the entry is poisoned).
+     * The sink may move from the fields.
+     */
+    using RowSink =
+        std::function<void(std::string_view key, Fields *fields)>;
+
+    /**
+     * Decode the `key,field,value` rows of the open store file @p fd
+     * from byte @p offset to its end, in one pass. The file is read
+     * in chunks of whole lines; cells are views into the chunk,
+     * unescaped only when quoted, and values are parsed in place.
+     * Blank lines and `#` comments are skipped; at byte 0 the first
+     * line must be the header. Consecutive rows with one key form an
+     * entry, handed to @p sink when the next key starts. A malformed
+     * row or value poisons its entry (a row whose key cannot be read
+     * poisons the entry in progress). Only whole lines are consumed,
+     * and when the file ends inside a row the entry in progress is
+     * held back too: it is neither handed out nor consumed. Problems
+     * are warned about, named after @p source.
+     */
+    static RowScan decodeCsvFile(int fd, std::size_t offset,
+                                 std::string_view source,
+                                 const RowSink &sink);
 
     /**
      * Attach a shared persistent tier (exec/sharedtier.hh) at
@@ -176,6 +254,20 @@ class ResultStore
     std::vector<std::pair<std::string, Fields>> takeJournal();
 
   private:
+    /** What identifies one version of a file: stat(2) fields. */
+    struct FileIdentity
+    {
+        std::uint64_t device = 0;
+        std::uint64_t inode = 0;
+        std::int64_t size = 0;
+        std::int64_t mtimeNs = 0;
+        std::int64_t ctimeNs = 0;
+
+        bool operator==(const FileIdentity &) const = default;
+    };
+
+    static FileIdentity identityOf(const struct stat &st);
+
     struct Entry
     {
         std::string key;
@@ -194,7 +286,7 @@ class ResultStore
     findLocked(std::uint64_t hash, bool &absorbed);
 
     /** Tier-absorb sink: insert without counting or journalling. */
-    void absorbLocked(const std::string &key, Fields fields);
+    void absorbLocked(std::string_view key, Fields fields);
 
     mutable std::mutex storeMutex;
     std::size_t maxEntries;
@@ -202,6 +294,18 @@ class ResultStore
     /** Most recent at the front; evict from the back. */
     std::list<std::uint64_t> lruOrder;
     Stats counters;
+
+    /** Bumped by every insert, eviction, absorb and clear(). */
+    std::uint64_t generation = 0;
+    /**
+     * The file that holds exactly the resident entries as they were
+     * at cleanGeneration: the last canonical load that left exactly
+     * its entries resident, or the last successful save. Unset when
+     * there is none.
+     */
+    mutable bool haveCleanFile = false;
+    mutable FileIdentity cleanFile;
+    mutable std::uint64_t cleanGeneration = 0;
 
     std::unique_ptr<SharedTierFile> tier;
     /** Pid that attached the tier — the only publisher. */

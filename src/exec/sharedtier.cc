@@ -2,14 +2,13 @@
  * @file
  * SharedTierFile implementation.
  *
- * The scan side is a deliberately small line-oriented CSV parser
- * rather than CsvReader: refresh() needs byte-accurate consumption
- * (only whole lines are consumed; a torn trailing row from a process
- * killed mid-append stays unconsumed until more bytes arrive) and a
- * per-row poison rule that maps cleanly onto key-run grouping. Tier
- * rows never contain newlines — keys, field names and exact-double
- * values are all single-line by construction — so splitting on '\n'
- * is sound; quoted commas and quotes are still handled.
+ * The scan side is ResultStore::decodeCsvFile(), the one decoder of
+ * store rows: it consumes whole lines only, so a torn trailing row
+ * from a process killed mid-append stays unconsumed (with the rest of
+ * its entry) until more bytes arrive, and its per-entry poison rule
+ * maps onto key-run grouping. Store rows never contain newlines
+ * (ResultStore::insert() rejects keys and field names that would), so
+ * splitting on '\n' is sound; quoted commas and quotes are handled.
  */
 
 #include "exec/sharedtier.hh"
@@ -27,64 +26,8 @@
 #include "exec/resultstore.hh"
 #include "exec/wireproto.hh"
 #include "util/logging.hh"
-#include "util/strutil.hh"
 
 namespace gemstone::exec {
-
-namespace {
-
-const char kTierHeader[] = "key,field,value";
-
-/**
- * Parse one CSV line into exactly three cells, honouring RFC-4180
- * quoting. Returns false on any structural problem.
- */
-bool
-parseTierLine(const std::string &line,
-              std::string (&cells)[3])
-{
-    std::size_t cell = 0;
-    std::size_t i = 0;
-    const std::size_t n = line.size();
-    while (true) {
-        if (cell >= 3)
-            return false;
-        std::string &out = cells[cell];
-        out.clear();
-        if (i < n && line[i] == '"') {
-            ++i;
-            while (true) {
-                if (i >= n)
-                    return false; // unterminated quote
-                if (line[i] == '"') {
-                    if (i + 1 < n && line[i + 1] == '"') {
-                        out.push_back('"');
-                        i += 2;
-                        continue;
-                    }
-                    ++i;
-                    break;
-                }
-                out.push_back(line[i++]);
-            }
-            if (i < n && line[i] != ',')
-                return false; // text after closing quote
-        } else {
-            while (i < n && line[i] != ',') {
-                if (line[i] == '"')
-                    return false; // stray quote
-                out.push_back(line[i++]);
-            }
-        }
-        ++cell;
-        if (i >= n)
-            break;
-        ++i; // skip ','
-    }
-    return cell == 3;
-}
-
-} // namespace
 
 Result<std::unique_ptr<SharedTierFile>>
 SharedTierFile::open(const std::string &path)
@@ -107,7 +50,7 @@ SharedTierFile::open(const std::string &path)
     if (tier->lock(true)) {
         struct stat st{};
         if (::fstat(fd, &st) == 0 && st.st_size == 0)
-            writeAll(fd, std::string(kTierHeader) + "\n");
+            writeAll(fd, std::string(ResultStore::kCsvHeader) + "\n");
         tier->unlock();
     }
     return tier;
@@ -191,77 +134,25 @@ SharedTierFile::absorbNewLocked(const Sink &sink)
     if (size == consumed)
         return;
 
-    std::string chunk(static_cast<std::size_t>(size - consumed), '\0');
-    std::size_t got = 0;
-    while (got < chunk.size()) {
-        ssize_t n = ::pread(fd, chunk.data() + got, chunk.size() - got,
-                            static_cast<off_t>(consumed + got));
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            break;
-        got += static_cast<std::size_t>(n);
-    }
-    chunk.resize(got);
-
-    // Consume whole lines only; a trailing partial row (a writer
-    // killed mid-append) waits for its remaining bytes — or gets
-    // diagnosed as a malformed merged row if another writer appends
-    // after the torn tail.
-    std::size_t usable = chunk.rfind('\n');
-    if (usable == std::string::npos)
-        return;
-    ++usable;
-    consumed += static_cast<std::int64_t>(usable);
-
-    std::string current_key;
-    Fields current_fields;
-    bool current_bad = false;
-    auto flush = [&]() {
-        if (!current_key.empty()) {
-            knownKeys.insert(ResultStore::fnv1a(current_key));
-            if (!current_bad && sink) {
-                sink(current_key, std::move(current_fields));
+    // Only whole lines are consumed; a trailing partial row (a writer
+    // killed mid-append) and the rest of its entry wait for the
+    // remaining bytes — or get diagnosed as a malformed merged row if
+    // another writer appends after the torn tail.
+    const ResultStore::RowScan scan = ResultStore::decodeCsvFile(
+        fd, static_cast<std::size_t>(consumed), "shared tier " + filePath,
+        [&](std::string_view key, Fields *fields) {
+            knownKeys.insert(ResultStore::fnv1a(key));
+            if (fields != nullptr && sink) {
+                sink(key, std::move(*fields));
                 ++tierStats.absorbed;
             }
-        }
-        current_fields.clear();
-        current_bad = false;
-    };
-
-    std::size_t line_start = 0;
-    while (line_start < usable) {
-        std::size_t line_end = chunk.find('\n', line_start);
-        std::string line =
-            chunk.substr(line_start, line_end - line_start);
-        line_start = line_end + 1;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty() || line[0] == '#' || line == kTierHeader)
-            continue;
-        std::string cells[3];
-        if (!parseTierLine(line, cells)) {
-            warnLimited("sharedtier-row", 3, "shared tier ", filePath,
-                        ": malformed row skipped: ", line);
-            // The row's group may be missing a field now: poison it.
-            current_bad = true;
-            continue;
-        }
-        if (cells[0] != current_key) {
-            flush();
-            current_key = cells[0];
-        }
-        double value = 0.0;
-        if (!parseFiniteDouble(cells[2], value)) {
-            warnLimited("sharedtier-value", 3, "shared tier ",
-                        filePath, ": bad value for key ", cells[0],
-                        " field ", cells[1], ": ", cells[2]);
-            current_bad = true;
-            continue;
-        }
-        current_fields.emplace_back(std::move(cells[1]), value);
+        });
+    if (scan.badHeader) {
+        warnLimited("sharedtier-header", 3, "shared tier ", filePath,
+                    ": first line is not the '", ResultStore::kCsvHeader,
+                    "' header; nothing absorbed");
     }
-    flush();
+    consumed += static_cast<std::int64_t>(scan.consumed);
 }
 
 std::size_t

@@ -39,6 +39,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -54,7 +55,7 @@ class SharedTierFile
 
     /** Receives entries absorbed from other processes. */
     using Sink =
-        std::function<void(const std::string &key, Fields fields)>;
+        std::function<void(std::string_view key, Fields fields)>;
 
     struct Stats
     {

@@ -46,8 +46,9 @@ G5Simulation::baseRun(const workload::Workload &work, G5Model model)
         config.memBytes =
             std::max<std::uint64_t>(work.memBytes, 64 * 1024);
 
+        // A new model's memory is zeroed already.
         uarch::ClusterModel cluster(config);
-        work.prepareMemory(cluster.memory());
+        work.initMemory(cluster.memory());
         slot->run = cluster.run(work.program, work.numThreads, 1.0);
     });
     return slot;

@@ -355,8 +355,9 @@ OdroidXu3Platform::baseRun(const workload::Workload &work,
     std::call_once(slot->once, [&] {
         std::uint64_t mem_bytes =
             std::max<std::uint64_t>(work.memBytes, 64 * 1024);
+        // pooledModel() hands the memory back sized and zeroed.
         uarch::ClusterModel &model = pooledModel(cluster, mem_bytes);
-        work.prepareMemory(model.memory());
+        work.initMemory(model.memory());
         model.runInto(work.program, work.numThreads, 1.0, slot->run);
     });
     return slot;

@@ -5,6 +5,7 @@
 
 #include "isa/memory.hh"
 
+#include <atomic>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
@@ -12,6 +13,12 @@
 #include "util/logging.hh"
 
 namespace gemstone::isa {
+
+namespace {
+
+std::atomic<std::uint64_t> bufferAllocations{0};
+
+} // namespace
 
 Memory::Memory(std::uint64_t size_bytes)
 {
@@ -31,6 +38,13 @@ Memory::resize(std::uint64_t size_bytes)
     fatal_if(!bytes, "cannot allocate ", rounded,
              " bytes of workload memory");
     addrMask = rounded - 1;
+    bufferAllocations.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::uint64_t
+Memory::allocations()
+{
+    return bufferAllocations.load(std::memory_order_relaxed);
 }
 
 std::uint64_t

@@ -93,6 +93,12 @@ class Memory
      */
     void resize(std::uint64_t size_bytes);
 
+    /**
+     * Zeroed buffers allocated by every Memory of the process so far:
+     * one per construction, resize() and clear().
+     */
+    static std::uint64_t allocations();
+
   private:
     /** Generic byte loop: wrap-around accesses, size checks. */
     std::uint64_t readSlow(std::uint64_t addr, unsigned size);

@@ -325,7 +325,6 @@ CsvReader::parseText(std::string text)
             continue;
         }
         reader.rowLines.push_back(record_line);
-        reader.lastRowUnterminated = at_eof;
     }
     reader.cellText.resize(cur.write);
     return reader;

@@ -139,14 +139,6 @@ class CsvReader
     }
 
     /**
-     * The last surviving row ended at end of input instead of at a
-     * newline. It parsed with full arity, but for a file whose
-     * writer ends every row with a newline that is still a torn
-     * write: its last cell may have lost characters.
-     */
-    bool finalRowUnterminated() const { return lastRowUnterminated; }
-
-    /**
      * The document ended with the integrity marker comment — it was
      * written to completion by an atomic writer, not torn mid-write.
      */
@@ -210,7 +202,6 @@ class CsvReader
     std::vector<CsvError> parseErrors;
     /** Diagnostics for a tolerated truncated final record. */
     std::vector<CsvError> tailErrors;
-    bool lastRowUnterminated = false;
     bool sawMarker = false;
 };
 

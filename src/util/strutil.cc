@@ -9,6 +9,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "util/logging.hh"
@@ -120,6 +121,22 @@ formatExactDouble(double value)
 bool
 parseFiniteDouble(std::string_view text, double &out)
 {
+    // Fast path: an unsigned integer of at most 15 digits is below
+    // 2^53, so accumulating its digits gives from_chars' exact value.
+    // Counts, most of a result store's values, all take it.
+    if (!text.empty() && text.size() <= 15) {
+        std::uint64_t whole = 0;
+        std::size_t digits = 0;
+        while (digits < text.size() &&
+               static_cast<unsigned>(text[digits] - '0') <= 9) {
+            whole = whole * 10 + static_cast<unsigned>(text[digits] - '0');
+            ++digits;
+        }
+        if (digits == text.size()) {
+            out = static_cast<double>(whole);
+            return true;
+        }
+    }
     std::size_t i = 0;
     while (i < text.size() &&
            std::isspace(static_cast<unsigned char>(text[i]))) {

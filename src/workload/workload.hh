@@ -35,10 +35,20 @@ struct Workload
     /** Deterministic data initialisation (seeded by workload name). */
     std::function<void(isa::Memory &)> init;
 
-    /** Initialise a memory instance for this workload. */
+    /** Zero a memory instance and initialise it for this workload. */
     void prepareMemory(isa::Memory &memory) const
     {
         memory.clear();
+        initMemory(memory);
+    }
+
+    /**
+     * Initialise a memory that is already zero: freshly constructed
+     * or resized. Base runs size their model's memory and then call
+     * this, so the memory is allocated and zeroed once per run.
+     */
+    void initMemory(isa::Memory &memory) const
+    {
         if (init)
             init(memory);
     }

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+
 #include <atomic>
 #include <cfloat>
 #include <cstdio>
@@ -24,6 +27,7 @@
 #include "exec/resultstore.hh"
 #include "exec/taskgraph.hh"
 #include "exec/threadpool.hh"
+#include "util/csv.hh"
 
 using namespace gemstone;
 using namespace gemstone::exec;
@@ -461,6 +465,335 @@ TEST(ResultStore, MissingFileLoadsNothing)
     ResultStore store(4);
     EXPECT_EQ(store.loadCsv("/nonexistent/gs_store.csv"), 0u);
     EXPECT_EQ(store.size(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// ResultStore: a clean save writes nothing
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+struct stat
+statOf(const std::string &path)
+{
+    struct stat st{};
+    EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+    return st;
+}
+
+/** True when @p path is still the very file version @p before saw. */
+bool
+untouched(const std::string &path, const struct stat &before)
+{
+    const struct stat now = statOf(path);
+    return now.st_ino == before.st_ino &&
+        now.st_mtim.tv_sec == before.st_mtim.tv_sec &&
+        now.st_mtim.tv_nsec == before.st_mtim.tv_nsec;
+}
+
+ResultStore::Fields
+fieldsFor(double seed)
+{
+    return {{"x", seed + 0.5}, {"y", seed * 1e-3}, {"z", -seed}};
+}
+
+/** Three entries, saved sorted: point|a, point|b, point|c. */
+void
+fillThree(ResultStore &store)
+{
+    store.insert("point|b", fieldsFor(2.0));
+    store.insert("point|a", fieldsFor(1.0));
+    store.insert("point|c", fieldsFor(3.0));
+}
+
+/** The bytes saveCsv() of @p store writes to a file of its own. */
+std::string
+freshSaveBytes(const ResultStore &store)
+{
+    ScratchFile fresh("gs_resultstore_fresh_save.csv");
+    EXPECT_TRUE(store.saveCsv(fresh.path).ok());
+    return readBytes(fresh.path);
+}
+
+/** The marker line saveCsv() ends a file with. */
+const std::string kMarkerLine = std::string(kCsvIntegrityMarker) + "\n";
+
+} // namespace
+
+TEST(ResultStoreCleanSave, CleanLoadThenSaveLeavesTheFileUntouched)
+{
+    ScratchFile file("gs_resultstore_clean.csv");
+    {
+        ResultStore original(8);
+        fillThree(original);
+        ASSERT_TRUE(original.saveCsv(file.path).ok());
+    }
+    const std::string bytes = readBytes(file.path);
+    const struct stat before = statOf(file.path);
+
+    ResultStore store(8);
+    ASSERT_EQ(store.loadCsv(file.path), 3u);
+    ResultStore::Payload hit;
+    ASSERT_TRUE(store.lookup("point|a", hit));  // a hit changes nothing
+    ASSERT_TRUE(store.saveCsv(file.path).ok());
+    EXPECT_TRUE(untouched(file.path, before));
+    EXPECT_EQ(readBytes(file.path), bytes);
+    EXPECT_EQ(freshSaveBytes(store), bytes);
+}
+
+TEST(ResultStoreCleanSave, ASaveRecordsItsFileSoTheNextCleanSaveIsSkipped)
+{
+    ScratchFile file("gs_resultstore_resave.csv");
+    ResultStore store(8);
+    fillThree(store);
+    ASSERT_TRUE(store.saveCsv(file.path).ok());
+    const struct stat before = statOf(file.path);
+    ASSERT_TRUE(store.saveCsv(file.path).ok());
+    EXPECT_TRUE(untouched(file.path, before));
+
+    store.insert("point|d", fieldsFor(4.0));
+    ASSERT_TRUE(store.saveCsv(file.path).ok());
+    EXPECT_FALSE(untouched(file.path, before));
+    EXPECT_EQ(readBytes(file.path), freshSaveBytes(store));
+}
+
+namespace {
+
+/**
+ * Load @p document from a file into @p store, apply @p between, save
+ * back to the same file and expect a rewrite to the bytes a fresh
+ * save of the store writes, which differ from the file before the
+ * save.
+ */
+template <typename Between>
+void
+expectRewrite(ResultStore &store, const std::string &document,
+              Between between, const char *why)
+{
+    ScratchFile file("gs_resultstore_rewrite.csv");
+    writeBytes(file.path, document);
+    store.loadCsv(file.path);
+    between(file.path);
+    // Skipping the save would leave these bytes in place.
+    const std::string stale = readBytes(file.path);
+    ASSERT_TRUE(store.saveCsv(file.path).ok()) << why;
+    const std::string fresh = freshSaveBytes(store);
+    EXPECT_EQ(readBytes(file.path), fresh) << why;
+    EXPECT_NE(fresh, stale) << why;
+}
+
+std::string
+savedThree()
+{
+    ScratchFile file("gs_resultstore_three.csv");
+    ResultStore store(8);
+    fillThree(store);
+    EXPECT_TRUE(store.saveCsv(file.path).ok());
+    return readBytes(file.path);
+}
+
+} // namespace
+
+TEST(ResultStoreCleanSave, EveryChangeSinceTheLoadRewritesTheFile)
+{
+    const std::string canonical = savedThree();
+    const auto nothing = [](const std::string &) {};
+    {
+        ResultStore store(8);
+        expectRewrite(store, canonical, [&](const std::string &) {
+            store.insert("point|d", fieldsFor(4.0));
+        }, "insert after the load");
+    }
+    {
+        // Capacity 2: loading three entries evicts one.
+        ResultStore store(2);
+        expectRewrite(store, canonical, nothing, "eviction");
+        EXPECT_EQ(store.size(), 2u);
+    }
+    {
+        ResultStore store(8);
+        store.insert("point|0", fieldsFor(0.0));
+        expectRewrite(store, canonical, nothing,
+                      "load into a non-empty store");
+        EXPECT_EQ(store.size(), 4u);
+    }
+    {
+        ResultStore store(8);
+        store.insert("point|0", fieldsFor(0.0));
+        store.clear();
+        // Cleared before the load: the store was empty, so this load
+        // is clean; a clear() after it is not.
+        expectRewrite(store, canonical, [&](const std::string &) {
+            store.clear();
+        }, "clear after the load");
+    }
+}
+
+TEST(ResultStoreCleanSave, ANonCanonicalFileIsRewritten)
+{
+    const std::string canonical = savedThree();
+    ASSERT_EQ(canonical.substr(canonical.size() - kMarkerLine.size()),
+              kMarkerLine);
+    const std::string rows =
+        canonical.substr(0, canonical.size() - kMarkerLine.size());
+    const std::string header = "key,field,value\n";
+    const auto nothing = [](const std::string &) {};
+
+    ResultStore marker_less(8);
+    expectRewrite(marker_less, rows, nothing, "no marker");
+    EXPECT_EQ(marker_less.size(), 3u);
+
+    ResultStore torn(8);
+    expectRewrite(torn, rows.substr(0, rows.size() - 3), nothing,
+                  "torn final row");
+    EXPECT_EQ(torn.size(), 2u);
+
+    // Rows appended after the marker (a shared tier attached to a
+    // saved store), the last one torn: it takes the entry before it,
+    // which may be missing rows, with it.
+    ResultStore torn_after_marker(8);
+    expectRewrite(torn_after_marker,
+                  canonical + "point|d,v,1\npoint|e,v,2", nothing,
+                  "torn row after the marker");
+    EXPECT_EQ(torn_after_marker.size(), 3u);
+
+    ResultStore unsorted(8);
+    expectRewrite(unsorted,
+                  header + "point|b,v,2\npoint|a,v,1\n" + kMarkerLine,
+                  nothing, "unsorted keys");
+    EXPECT_EQ(unsorted.size(), 2u);
+
+    ResultStore duplicated(8);
+    expectRewrite(duplicated,
+                  header + "point|a,v,1\npoint|b,v,2\npoint|a,v,3\n" +
+                      kMarkerLine,
+                  nothing, "duplicate keys");
+    ResultStore::Payload out;
+    ASSERT_TRUE(duplicated.lookup("point|a", out));
+    EXPECT_EQ((*out)[0].second, 3.0);
+
+    ResultStore poisoned(8);
+    expectRewrite(poisoned,
+                  header + "point|a,v,1\npoint|b,v,x\n" + kMarkerLine,
+                  nothing, "malformed value");
+    EXPECT_EQ(poisoned.size(), 1u);
+}
+
+TEST(ResultStoreCleanSave, AFileChangedSinceTheLoadIsRewritten)
+{
+    const std::string canonical = savedThree();
+    {
+        // Replaced by another store's file: a new inode.
+        ResultStore store(8);
+        expectRewrite(store, canonical, [](const std::string &path) {
+            ResultStore other(8);
+            other.insert("point|z", fieldsFor(9.0));
+            ASSERT_TRUE(other.saveCsv(path).ok());
+        }, "file replaced");
+    }
+    {
+        // Edited in place to the same size, then touched: the same
+        // inode and size, a new mtime.
+        ResultStore store(8);
+        expectRewrite(store, canonical, [&](const std::string &path) {
+            std::string edited = canonical;
+            const std::size_t at = edited.find(",1.5\n");
+            ASSERT_NE(at, std::string::npos);
+            edited[at + 1] = '7';
+            {
+                std::fstream out(path, std::ios::binary | std::ios::in |
+                                           std::ios::out);
+                out.write(edited.data(),
+                          static_cast<std::streamsize>(edited.size()));
+            }
+            const struct timespec times[2] = {{1000000000, 0},
+                                              {1000000000, 0}};
+            ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+        }, "file touched");
+    }
+}
+
+TEST(ResultStoreCleanSave, ASaveToAnotherFileAlwaysWrites)
+{
+    ScratchFile file("gs_resultstore_source.csv");
+    ScratchFile copy("gs_resultstore_copy.csv");
+    const std::string canonical = savedThree();
+    writeBytes(file.path, canonical);
+    writeBytes(copy.path, canonical);
+    const struct stat copy_before = statOf(copy.path);
+
+    ResultStore store(8);
+    ASSERT_EQ(store.loadCsv(file.path), 3u);
+    // Same bytes, another file: still written.
+    ASSERT_TRUE(store.saveCsv(copy.path).ok());
+    EXPECT_FALSE(untouched(copy.path, copy_before));
+    EXPECT_EQ(readBytes(copy.path), canonical);
+
+    ScratchFile absent("gs_resultstore_absent.csv");
+    ASSERT_TRUE(store.saveCsv(absent.path).ok());
+    EXPECT_EQ(readBytes(absent.path), canonical);
+}
+
+TEST(ResultStore, LoadDecodesEntriesAcrossReadChunks)
+{
+    // Files are read in chunks of about 1 MiB: entries straddling a
+    // chunk boundary, and a row longer than a chunk, must decode as
+    // if read whole.
+    ResultStore store(4096);
+    for (int e = 0; e < 1500; ++e) {
+        ResultStore::Fields fields;
+        for (int f = 0; f < 40; ++f)
+            fields.emplace_back("field_" + std::to_string(f),
+                                e * 1000.0 + f + 1.0 / 3.0);
+        store.insert("entry|" + std::to_string(e), std::move(fields));
+    }
+    store.insert("entry|long", {{std::string(3u << 20, 'n'), 1.5}});
+    ScratchFile file("gs_resultstore_chunks.csv");
+    ASSERT_TRUE(store.saveCsv(file.path).ok());
+    const std::string bytes = readBytes(file.path);
+    ASSERT_GT(bytes.size(), 5u << 20);
+
+    ResultStore restored(4096);
+    ASSERT_EQ(restored.loadCsv(file.path), 1501u);
+    EXPECT_EQ(freshSaveBytes(restored), bytes);
+}
+
+TEST(ResultStore, KeysAndFieldNamesWithANewlineAreRejected)
+{
+    // A store row is one line, so a newline cannot round-trip.
+    ResultStore store(8);
+    EXPECT_FALSE(store.insert("point\n|a", {{"v", 1.0}}));
+    EXPECT_FALSE(store.insert("point|a", {{"v", 1.0}, {"bad\nname", 2.0}}));
+    EXPECT_EQ(store.size(), 0u);
+    EXPECT_FALSE(store.contains("point\n|a"));
+    EXPECT_FALSE(store.contains("point|a"));
+
+    // Quotes, commas and a carriage return do round-trip.
+    const std::string key = "point|\"q\",r\r";
+    const ResultStore::Fields fields = {{"a,\"b\"", 1.5}, {"c\r", -2.0}};
+    ASSERT_TRUE(store.insert(key, fields));
+    ScratchFile file("gs_resultstore_quoting.csv");
+    ASSERT_TRUE(store.saveCsv(file.path).ok());
+    ResultStore restored(8);
+    ASSERT_EQ(restored.loadCsv(file.path), 1u);
+    ResultStore::Payload out;
+    ASSERT_TRUE(restored.lookup(key, out));
+    EXPECT_EQ(*out, fields);
 }
 
 TEST(ResultStore, ConcurrentMixedUseIsConsistent)

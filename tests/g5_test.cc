@@ -16,6 +16,7 @@
 #include "g5/config.hh"
 #include "g5/simulator.hh"
 #include "hwsim/platform.hh"
+#include "isa/memory.hh"
 #include "util/random.hh"
 #include "workload/workload.hh"
 
@@ -261,6 +262,16 @@ TEST_F(G5Run, IpcWithinPhysicalBounds)
     double ipc = stats->value("system.cpu.ipc");
     EXPECT_GT(ipc, 0.05);
     EXPECT_LE(ipc, 3.3);  // issue width ceiling
+}
+
+TEST(G5BaseRun, AllocatesItsDataMemoryOnce)
+{
+    // The base run's new model comes with zeroed memory; preparing
+    // the workload in it must not allocate and zero a second buffer.
+    G5Simulation sim(1);
+    const std::uint64_t before = isa::Memory::allocations();
+    sim.run(workload::Suite::byName("mi-crc32"), G5Model::Ex5Big, 1000.0);
+    EXPECT_EQ(isa::Memory::allocations() - before, 1u);
 }
 
 TEST_F(G5Run, DeterministicAcrossInstances)

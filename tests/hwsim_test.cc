@@ -17,6 +17,7 @@
 #include "hwsim/platform.hh"
 #include "hwsim/pmu.hh"
 #include "hwsim/power.hh"
+#include "isa/memory.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "workload/workload.hh"
@@ -298,6 +299,20 @@ TEST_F(PlatformMeasure, CapturesFullPmuSet)
     EXPECT_GT(m.pmcValue(0x11), m.pmcValue(0x08) * 0.2);
     EXPECT_GT(m.powerWatts, 0.05);
     EXPECT_GT(m.temperatureC, 20.0);
+}
+
+TEST_F(PlatformMeasure, BaseRunAllocatesItsDataMemoryOnce)
+{
+    // A base run sizes the thread's pooled model memory (zeroed) and
+    // initialises the workload in it: one zeroed buffer per base run,
+    // whether the pool builds the model or reuses it.
+    for (const char *name : {"mi-crc32", "mi-qsort", "mi-crc32"}) {
+        OdroidXu3Platform fresh(7);  // its own base-run cache
+        const std::uint64_t before = isa::Memory::allocations();
+        fresh.measure(workload::Suite::byName(name), CpuCluster::LittleA7,
+                      1000.0, 1);
+        EXPECT_EQ(isa::Memory::allocations() - before, 1u) << name;
+    }
 }
 
 TEST_F(PlatformMeasure, DeterministicForSameSeed)

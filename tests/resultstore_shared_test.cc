@@ -2,7 +2,8 @@
  * @file
  * The shared persistent result-store tier: publish/absorb exchange
  * between attached stores, journal semantics, loadCsv compatibility,
- * the only-the-attacher-publishes fork rule, and — the point of the
+ * the one row decoder shared by loadCsv and the tier, the
+ * only-the-attacher-publishes fork rule, and — the point of the
  * flock discipline — multiple processes hammering one tier file
  * without ever producing a torn, interleaved or duplicated row.
  */
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -225,6 +227,136 @@ TEST(SharedTier, TierFileLoadsAsPlainStoreCsv)
     ASSERT_EQ(out->size(), 1u);
     EXPECT_EQ((*out)[0].first, "lonely");
     EXPECT_TRUE(bitEqual((*out)[0].second, -0.0));
+}
+
+namespace {
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+/** What saveCsv() of @p store writes: its entries, canonically. */
+std::string
+savedBytes(const ResultStore &store, const std::string &name)
+{
+    ScratchFile file(name);
+    EXPECT_TRUE(store.saveCsv(file.path).ok());
+    return readBytes(file.path);
+}
+
+} // namespace
+
+TEST(StoreRows, LoadCsvAndTierRefreshDecodeTheSameEntries)
+{
+    // Quoted commas and quotes, CRLF, a blank line, comments, the
+    // marker, a malformed value, a stray quote and a padded value.
+    const std::string document = "key,field,value\r\n"
+                                 "\r\n"
+                                 "# a comment\r\n"
+                                 "\"k,1\",\"f\"\"q\",1.5\r\n"
+                                 "\"k,1\",plain,2\r\n"
+                                 "k2,x,not-a-number\r\n"
+                                 "k2,y,3\r\n"
+                                 "k3,\"a,b\",-0\r\n"
+                                 "k4,bad\"quote,1\r\n"
+                                 "k5,v, 7 \r\n"
+                                 "#gemstone:complete\r\n";
+    ScratchFile file("gs_store_rows_same.csv");
+    writeBytes(file.path, document);
+
+    ResultStore loaded;
+    EXPECT_EQ(loaded.loadCsv(file.path), 3u);
+
+    ResultStore absorbed;
+    auto tier = exec::SharedTierFile::open(file.path);
+    ASSERT_TRUE(tier.ok());
+    EXPECT_EQ(tier.value()->refresh([&](std::string_view key,
+                                        ResultStore::Fields fields) {
+        EXPECT_TRUE(absorbed.insert(std::string(key), std::move(fields)));
+    }),
+              3u);
+    EXPECT_EQ(readBytes(file.path), document);  // the tier only read
+
+    const std::vector<std::pair<std::string, ResultStore::Fields>>
+        expected = {{"k,1", {{"f\"q", 1.5}, {"plain", 2.0}}},
+                    {"k3", {{"a,b", -0.0}}},
+                    {"k5", {{"v", 7.0}}}};
+    for (const ResultStore *store : {&loaded, &absorbed}) {
+        EXPECT_EQ(store->size(), expected.size());
+        for (const auto &[key, fields] : expected) {
+            ResultStore::Payload out;
+            ASSERT_TRUE(const_cast<ResultStore *>(store)->lookup(key, out))
+                << key;
+            EXPECT_EQ(*out, fields) << key;
+        }
+    }
+    EXPECT_EQ(savedBytes(loaded, "gs_store_rows_a.csv"),
+              savedBytes(absorbed, "gs_store_rows_b.csv"));
+}
+
+TEST(StoreRows, TierRefreshAtAnyCutNeverAbsorbsAWrongEntry)
+{
+    // The tier counterpart of the loadCsv truncation test: a reader
+    // sees a file cut mid-row (a writer killed mid-append), then the
+    // rest of the bytes. The entry in progress at the cut must be
+    // held back, not absorbed partial, and absorbed whole once its
+    // rows are complete.
+    ScratchFile file("gs_tier_truncate.csv");
+    std::map<std::string, ResultStore::Fields> expected;
+    {
+        ResultStore writer;
+        ASSERT_TRUE(writer.attachSharedTier(file.path).ok());
+        for (double seed : {1.5, 2.25, 31.125}) {
+            const std::string key = "point|" + std::to_string(seed);
+            writer.insert(key, sampleFields(seed));
+            expected[key] = sampleFields(seed);
+        }
+    }
+    const std::string document = readBytes(file.path);
+
+    std::size_t cuts = 0;
+    for (std::size_t cut = 1; cut < document.size(); ++cut) {
+        // A cut exactly at a row boundary looks complete: out of
+        // scope, as for loadCsv.
+        if (document[cut - 1] == '\n')
+            continue;
+        ++cuts;
+        writeBytes(file.path, document.substr(0, cut));
+        auto tier = exec::SharedTierFile::open(file.path);
+        ASSERT_TRUE(tier.ok());
+        std::map<std::string, ResultStore::Fields> absorbed;
+        auto sink = [&](std::string_view key, ResultStore::Fields fields) {
+            const auto it = expected.find(std::string(key));
+            ASSERT_NE(it, expected.end()) << key << " at cut " << cut;
+            ASSERT_EQ(fields.size(), it->second.size())
+                << "partial entry " << key << " at cut " << cut;
+            for (std::size_t i = 0; i < fields.size(); ++i) {
+                EXPECT_EQ(fields[i].first, it->second[i].first);
+                EXPECT_TRUE(bitEqual(fields[i].second, it->second[i].second))
+                    << "wrong value for " << key << " at cut " << cut;
+            }
+            absorbed[std::string(key)] = std::move(fields);
+        };
+        tier.value()->refresh(sink);
+        {
+            std::ofstream out(file.path, std::ios::binary | std::ios::app);
+            out << document.substr(cut);
+        }
+        tier.value()->refresh(sink);
+        EXPECT_EQ(absorbed.size(), expected.size()) << "at cut " << cut;
+    }
+    EXPECT_GT(cuts, 50u);
 }
 
 #if defined(__unix__) || defined(__APPLE__)

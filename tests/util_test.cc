@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -426,6 +427,33 @@ TEST(Strutil, ParseFiniteDoubleAcceptSet)
     EXPECT_TRUE(std::signbit(zero));
 }
 
+TEST(ParseFiniteDouble, ShortIntegersMatchFromChars)
+{
+    // Unsigned integers of up to 15 digits take a digit loop; it must
+    // give from_chars' value for every length, leading zeros included.
+    Rng rng(0x1D16175ULL);
+    std::vector<std::string> texts = {"0", "00", "007", "999999999999999",
+                                      "100000000000000", "9007199254740"};
+    for (int i = 0; i < 20000; ++i) {
+        const int digits = 1 + static_cast<int>(rng.uniformInt(15));
+        std::string text;
+        for (int d = 0; d < digits; ++d)
+            text.push_back(static_cast<char>('0' + rng.uniformInt(10)));
+        texts.push_back(text);
+    }
+    for (const std::string &text : texts) {
+        double expected = 0.0;
+        std::from_chars(text.data(), text.data() + text.size(), expected);
+        double value = -1.0;
+        ASSERT_TRUE(parseFiniteDouble(text, value)) << text;
+        EXPECT_EQ(std::memcmp(&value, &expected, sizeof value), 0) << text;
+    }
+    // Sixteen digits and more go to from_chars, which rounds.
+    double rounded = 0.0;
+    ASSERT_TRUE(parseFiniteDouble("9007199254740993", rounded));
+    EXPECT_EQ(rounded, 9007199254740992.0);
+}
+
 // ---------------------------------------------------------------------
 // TextTable
 // ---------------------------------------------------------------------
@@ -535,34 +563,19 @@ TEST(CsvReader, RoundTripsWriterOutput)
 
 TEST(CsvReader, HandlesCrlfAndMissingFinalNewline)
 {
+    // Full arity without a trailing newline is a row, not a torn tail.
     std::istringstream is("a,b\r\n1,2\r\n3,4");
     CsvReader reader = CsvReader::parse(is);
     EXPECT_TRUE(reader.ok());
+    EXPECT_FALSE(reader.hasTruncatedTail());
     ASSERT_EQ(reader.rowCount(), 2u);
     EXPECT_EQ(reader.cell(1, "b"), "4");
-}
 
-TEST(CsvReader, ReportsAnUnterminatedFinalRow)
-{
-    // Full arity but no trailing newline: accepted, and flagged so a
-    // caller whose writer always ends rows with '\n' can call it torn.
-    std::istringstream cut("a,b\n1,2\n3,4");
-    CsvReader torn = CsvReader::parse(cut);
-    EXPECT_TRUE(torn.ok());
-    EXPECT_FALSE(torn.hasTruncatedTail());
-    EXPECT_TRUE(torn.finalRowUnterminated());
-    EXPECT_EQ(torn.rowCount(), 2u);
-
-    std::istringstream whole("a,b\n1,2\n3,4\n");
-    EXPECT_FALSE(CsvReader::parse(whole).finalRowUnterminated());
-
-    // A trailing comment or a dropped partial record is not a row.
-    std::istringstream comment("a,b\n1,2\n#note");
-    EXPECT_FALSE(CsvReader::parse(comment).finalRowUnterminated());
+    // A short final record is dropped as a truncated tail.
     std::istringstream partial("a,b\n1,2\n3");
     CsvReader dropped = CsvReader::parse(partial);
     EXPECT_TRUE(dropped.hasTruncatedTail());
-    EXPECT_FALSE(dropped.finalRowUnterminated());
+    EXPECT_EQ(dropped.rowCount(), 1u);
 }
 
 TEST(CsvReader, UnescapesQuotedCellsInPlace)
